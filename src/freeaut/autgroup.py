@@ -16,8 +16,8 @@ from typing import Sequence, Union
 
 from .commpoly import CommPoly, MonomialOrder, PolyRing
 from .errors import ContextError, DomainError, NotInvertibleError
-from .freealg import FreeAlgebra, KzEndo, NCPoly, default_xnames
-from .jacobian import abelianize_endo, jacobian_linear
+from .freealg import FreeAlgebra, KzEndo, default_xnames
+from .jacobian import abelianize_endo, jacobian_linear, matrix_to_endo
 from .matgroup import (
     Diag,
     Elem,
@@ -26,22 +26,15 @@ from .matgroup import (
     Tame,
     Transcript,
     _eliminate,
+    _is_unit,
     _unit_inverse,
     cohn_matrix,
     ge2_decide,
     gl2_univariate_decompose,
     is_gl,
     stabilize3,
-    verify_transcript,
 )
-from .scalars import QQ, FpElement, Scalar
-
-
-def _z_poly_to_nc(p: CommPoly, algebra: FreeAlgebra) -> NCPoly:
-    if p.ring.nvars != 1:
-        raise ContextError("expected a univariate z-polynomial")
-    z = algebra.z_letter
-    return NCPoly(algebra, {(z,) * m[0]: c for m, c in p._terms.items()})
+from .scalars import QQ, FpElement
 
 
 @dataclass(frozen=True)
@@ -64,14 +57,14 @@ class ElemAuto:
             raise ContextError("factor polynomials must share one univariate ring")
 
     def to_endo(self, algebra: FreeAlgebra) -> KzEndo:
+        """The endomorphism whose Jacobian is the elementary matrix with
+        a(z1) b(z2) at (i, j)."""
         if self.i > algebra.n or self.j > algebra.n:
             raise ContextError(f"factor position exceeds {algebra.n} generators")
-        images = list(algebra.gens())
-        xi = algebra.gen(self.i - 1)
-        images[self.j - 1] = images[self.j - 1] + _z_poly_to_nc(
-            self.a, algebra
-        ) * xi * _z_poly_to_nc(self.b, algebra)
-        return KzEndo(algebra, images)
+        ring = algebra.pair_ring()
+        z1, z2 = ring.gens()
+        poly = self.a.substitute([z1]) * self.b.substitute([z2])
+        return matrix_to_endo(Elem(self.i, self.j, poly).matrix(ring, algebra.n), algebra)
 
     def inverse(self) -> "ElemAuto":
         return ElemAuto(self.i, self.j, -self.a, self.b)
@@ -175,16 +168,20 @@ class TameVerdict:
     kind is one of "tame" (factors compose to the input), "wild" (witness is
     the stuck reduction state), or "tame_by_theorem" (three or more
     generators: tameness is guaranteed, but the bounded search found no
-    explicit factorization).
+    explicit factorization).  A tame verdict also carries the Jacobian
+    transcript its factors were expanded from.
     """
 
     kind: str
     factors: tuple | None = None
     witness: PolyMatrix | None = None
+    transcript: Transcript | None = None
 
     @classmethod
-    def tame(cls, factors: Sequence[AutoFactor]) -> "TameVerdict":
-        return cls("tame", factors=tuple(factors))
+    def tame(cls, transcript: Transcript) -> "TameVerdict":
+        return cls(
+            "tame", factors=transcript_to_autofactors(transcript), transcript=transcript
+        )
 
     @classmethod
     def wild(cls, witness: PolyMatrix) -> "TameVerdict":
@@ -193,31 +190,6 @@ class TameVerdict:
     @classmethod
     def by_theorem(cls) -> "TameVerdict":
         return cls("tame_by_theorem")
-
-
-def matrix_to_endo(m: PolyMatrix, algebra: FreeAlgebra | None = None) -> KzEndo:
-    """The x-linear endomorphism whose two-variable Jacobian is the matrix.
-
-    The monomial c z1^p z2^q at entry (i, j) contributes c z^p x_i z^q to the
-    j-th image.
-    """
-    if m.ring.nvars != 2:
-        raise ContextError("expected a matrix over K[z1, z2]")
-    n = m.n
-    if algebra is None:
-        algebra = FreeAlgebra(m.ring.field, default_xnames(n))
-    elif algebra.n != n:
-        raise ContextError(f"algebra has {algebra.n} generators, matrix size is {n}")
-    z = algebra.z_letter
-    images = []
-    for j in range(n):
-        terms: dict = {}
-        for i in range(n):
-            for mono, coeff in m.entries[i][j].terms():
-                word = (z,) * mono[0] + (i,) + (z,) * mono[1]
-                terms[word] = terms.get(word, 0) + coeff
-        images.append(NCPoly(algebra, terms))
-    return KzEndo(algebra, images)
 
 
 def is_automorphism_linear(endo: KzEndo) -> bool:
@@ -233,36 +205,35 @@ def is_tame(endo: KzEndo, order: MonomialOrder | None = None) -> TameVerdict:
     """Decide tameness of an x-linear automorphism.
 
     With two generators this is a complete decision via first-column
-    elimination on the Jacobian.  With three or more the answer is always
-    tame; a bounded elimination searches for an explicit factor list and
-    reports tame_by_theorem when it finds none.
+    elimination on the Jacobian, whose end state also proves or refutes
+    invertibility.  With three or more the answer is always tame; a bounded
+    elimination searches for an explicit factor list and reports
+    tame_by_theorem when it finds none.  Raises NotInvertibleError when the
+    endomorphism is not an automorphism.
     """
     jac = jacobian_linear(endo)
-    if not is_gl(jac):
-        raise NotInvertibleError("endomorphism is not an automorphism")
     if order is None:
         order = MonomialOrder.deglex(2)
-    n = endo.n
-    if n == 1:
-        alpha = jac.entries[0][0].constant_value()
-        factors = () if alpha == endo.algebra.field.one else (ScaleAuto((alpha,)),)
-        return TameVerdict.tame(factors)
-    if n == 2:
+    if endo.n == 2:
         res = ge2_decide(jac, order)
         if isinstance(res, Tame):
-            return TameVerdict.tame(transcript_to_autofactors(res.transcript))
+            return TameVerdict.tame(res.transcript)
         return TameVerdict.wild(res.witness)
+    # The bounded elimination gives up the same way on a singular matrix as
+    # on one it is merely stuck on, so invertibility is settled beforehand.
+    if not is_gl(jac):
+        raise NotInvertibleError("endomorphism is not an automorphism")
     t = _eliminate(jac, order)
     if t is None:
         return TameVerdict.by_theorem()
-    return TameVerdict.tame(transcript_to_autofactors(t))
+    return TameVerdict.tame(t)
 
 
 def invert_linear(endo: KzEndo) -> KzEndo:
     """The inverse of an x-linear automorphism, via the adjugate Jacobian."""
     jac = jacobian_linear(endo)
     d = jac.det()
-    if not (d.is_constant() and not d.is_zero()):
+    if not _is_unit(d):
         raise NotInvertibleError("endomorphism is not an automorphism")
     dinv = _unit_inverse(endo.algebra.field, d.constant_value())
     adj = jac.adjugate()
@@ -289,9 +260,12 @@ def stable_tame(
     The extension fixes the added generator; its factor list composes to
     exactly that extension over the enlarged algebra.
     """
-    if endo.n != 2:
-        raise ContextError("stabilization applies to two-generator endomorphisms")
     jac = jacobian_linear(endo)
+    if endo.n != 2:
+        # A map that is no automorphism at all is reported as such first.
+        if not is_gl(jac):
+            raise NotInvertibleError("endomorphism is not an automorphism")
+        raise ContextError("stabilization applies to two-generator endomorphisms")
     t = stabilize3(jac)
     if t is None:
         return None

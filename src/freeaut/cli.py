@@ -17,13 +17,7 @@ import json
 import sys
 from typing import Callable
 
-from .autgroup import (
-    abelianized_tame_decomposition,
-    builtin,
-    invert_linear,
-    is_tame,
-    stable_tame,
-)
+from .autgroup import builtin, invert_linear, is_tame, stable_tame
 from .commpoly import MonomialOrder
 from .errors import (
     ContextError,
@@ -34,7 +28,7 @@ from .errors import (
     ParseError,
 )
 from .jacobian import abelianize_endo, jacobian_linear
-from .matgroup import Tame, _eliminate, ge2_decide, gl2_univariate_decompose, is_gl
+from .matgroup import _is_unit, gl2_univariate_decompose
 from .parser import (
     format_autofactor,
     format_comm_poly,
@@ -125,8 +119,7 @@ def _matrix_rows(m) -> list[list[str]]:
     return [[format_comm_poly(e) for e in row] for row in m.entries]
 
 
-def _cmd_jacobian(args) -> int:
-    notes: list[str] = []
+def _cmd_jacobian(args, notes: list[str]) -> int:
     endo = _load(args, notes)
     jac = jacobian_linear(endo)
     d = jac.det()
@@ -135,31 +128,23 @@ def _cmd_jacobian(args) -> int:
     return EXIT_OK
 
 
-def _cmd_check(args) -> int:
-    notes: list[str] = []
+def _cmd_check(args, notes: list[str]) -> int:
     endo = _load(args, notes)
-    jac = jacobian_linear(endo)
-    ok = is_gl(jac)
+    d = jacobian_linear(endo).det()
+    ok = _is_unit(d)
     verdict = "automorphism" if ok else "not_automorphism"
     _emit(
         args,
         notes,
-        {"verdict": verdict, "det": format_comm_poly(jac.det())},
-        f"verdict: {verdict}\ndet = {format_comm_poly(jac.det())}",
+        {"verdict": verdict, "det": format_comm_poly(d)},
+        f"verdict: {verdict}\ndet = {format_comm_poly(d)}",
     )
     return EXIT_OK if ok else EXIT_NOT_AUTO
 
 
-def _cmd_tame(args) -> int:
-    notes: list[str] = []
-    endo = _load(args, notes)
-    jac = jacobian_linear(endo)
-    if not is_gl(jac):
-        _emit(args, notes, {"verdict": "not_automorphism"}, "verdict: not_automorphism")
-        return EXIT_NOT_AUTO
-    verdict = is_tame(endo, _order(args))
+def _emit_verdict(args, notes: list[str], verdict, lines: list[str]) -> int:
+    """Render a tameness verdict whose certificate is already formatted."""
     if verdict.kind == "tame":
-        lines = [format_autofactor(f) for f in verdict.factors]
         body = "verdict: tame" + ("\n" + "\n".join(lines) if lines else "")
         _emit(args, notes, {"verdict": "tame", "factors": lines}, body)
         return EXIT_OK
@@ -181,49 +166,20 @@ def _cmd_tame(args) -> int:
     return EXIT_NO_TRANSCRIPT
 
 
-def _cmd_decompose(args) -> int:
-    notes: list[str] = []
-    endo = _load(args, notes)
-    jac = jacobian_linear(endo)
-    if not is_gl(jac):
-        _emit(args, notes, {"verdict": "not_automorphism"}, "verdict: not_automorphism")
-        return EXIT_NOT_AUTO
-    order = _order(args)
-    if endo.n == 2:
-        res = ge2_decide(jac, order)
-        if isinstance(res, Tame):
-            lines = [format_factor(f) for f in res.transcript.factors]
-            body = "verdict: tame" + ("\n" + "\n".join(lines) if lines else "")
-            _emit(args, notes, {"verdict": "tame", "factors": lines}, body)
-            return EXIT_OK
-        body = "verdict: wild\nwitness:\n" + format_matrix(res.witness)
-        _emit(
-            args, notes, {"verdict": "wild", "witness": _matrix_rows(res.witness)}, body
-        )
-        return EXIT_WILD
-    t = _eliminate(jac, order)
-    if t is None:
-        _emit(
-            args,
-            notes,
-            {"verdict": "tame_by_theorem"},
-            "verdict: tame_by_theorem (no explicit factorization found)",
-        )
-        return EXIT_NO_TRANSCRIPT
-    lines = [format_factor(f) for f in t.factors]
-    body = "verdict: tame" + ("\n" + "\n".join(lines) if lines else "")
-    _emit(args, notes, {"verdict": "tame", "factors": lines}, body)
-    return EXIT_OK
+def _cmd_tame(args, notes: list[str]) -> int:
+    verdict = is_tame(_load(args, notes), _order(args))
+    lines = [format_autofactor(f) for f in verdict.factors or ()]
+    return _emit_verdict(args, notes, verdict, lines)
 
 
-def _cmd_invert(args) -> int:
-    notes: list[str] = []
-    endo = _load(args, notes)
-    jac = jacobian_linear(endo)
-    if not is_gl(jac):
-        _emit(args, notes, {"verdict": "not_automorphism"}, "verdict: not_automorphism")
-        return EXIT_NOT_AUTO
-    inv = invert_linear(endo)
+def _cmd_decompose(args, notes: list[str]) -> int:
+    verdict = is_tame(_load(args, notes), _order(args))
+    lines = [format_factor(f) for f in verdict.transcript or ()]
+    return _emit_verdict(args, notes, verdict, lines)
+
+
+def _cmd_invert(args, notes: list[str]) -> int:
+    inv = invert_linear(_load(args, notes))
     text = format_endo_file(inv).rstrip("\n")
     _emit(
         args,
@@ -238,8 +194,7 @@ def _cmd_invert(args) -> int:
     return EXIT_OK
 
 
-def _cmd_compose(args) -> int:
-    notes: list[str] = []
+def _cmd_compose(args, notes: list[str]) -> int:
     with open(args.file, encoding="utf-8") as fh:
         first = parse_endo_file(fh.read(), _field(args))
     with open(args.other, encoding="utf-8") as fh:
@@ -259,8 +214,7 @@ def _cmd_compose(args) -> int:
     return EXIT_OK
 
 
-def _cmd_abelianize(args) -> int:
-    notes: list[str] = []
+def _cmd_abelianize(args, notes: list[str]) -> int:
     endo = _load(args, notes)
     images, m = abelianize_endo(endo)
     names = endo.algebra.xnames
@@ -273,27 +227,20 @@ def _cmd_abelianize(args) -> int:
         "matrix": _matrix_rows(m),
         "det": format_comm_poly(d),
     }
-    if not is_gl(m):
+    if not _is_unit(d):
         body += "\nverdict: not_automorphism"
         _emit(args, notes, {**obj, "verdict": "not_automorphism"}, body)
         return EXIT_NOT_AUTO
     if endo.n == 2:
-        t = abelianized_tame_decomposition(endo)
-        lines = [format_factor(f) for f in t.factors]
+        lines = [format_factor(f) for f in gl2_univariate_decompose(m)]
         body += "\ntranscript:" + ("\n" + "\n".join(lines) if lines else "")
         obj["factors"] = lines
     _emit(args, notes, obj, body)
     return EXIT_OK
 
 
-def _cmd_stabilize(args) -> int:
-    notes: list[str] = []
-    endo = _load(args, notes)
-    jac = jacobian_linear(endo)
-    if not is_gl(jac):
-        _emit(args, notes, {"verdict": "not_automorphism"}, "verdict: not_automorphism")
-        return EXIT_NOT_AUTO
-    result = stable_tame(endo)
+def _cmd_stabilize(args, notes: list[str]) -> int:
+    result = stable_tame(_load(args, notes))
     if result is None:
         _emit(
             args,
@@ -320,10 +267,10 @@ def _cmd_stabilize(args) -> int:
     return EXIT_OK
 
 
-def _cmd_example(args) -> int:
+def _cmd_example(args, notes: list[str]) -> int:
     endo = builtin(args.name, _field(args))
     text = format_endo_file(endo).rstrip("\n")
-    _emit(args, [], {"endo": text}, text)
+    _emit(args, notes, {"endo": text}, text)
     return EXIT_OK
 
 
@@ -377,8 +324,12 @@ def main(argv=None) -> int:
         args = ap.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
+    notes: list[str] = []
     try:
-        return args.handler(args)
+        return args.handler(args, notes)
+    except NotInvertibleError:
+        _emit(args, notes, {"verdict": "not_automorphism"}, "verdict: not_automorphism")
+        return EXIT_NOT_AUTO
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -389,9 +340,6 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
         return EXIT_USAGE
-    except NotInvertibleError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NOT_AUTO
     except (ContextError, DomainError, FreeautError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

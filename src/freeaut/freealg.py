@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import Iterator, NamedTuple, Sequence
 
 from .commpoly import CommPoly, PolyRing
-from .errors import ContextError, DomainError, NotXLinearError
+from .errors import ContextError, DomainError
 from .scalars import Field, FpElement, Scalar
 
 Word = tuple[int, ...]
@@ -352,30 +352,19 @@ def linear_profile(endo: KzEndo) -> list[list[list[tuple[CommPoly, CommPoly]]]]:
     pair (b, c) over K[z]; the coefficient is folded into b.  Pairs are
     ordered by ascending (left, right) z-power.  Raises NotXLinearError when
     any image has a pure-z term or a term of x-degree >= 2, naming the image.
+    This is a view of the Jacobian: the pair (c z^p, z^q) in cell [i][j] is
+    the term c z1^p z2^q of its entry (i, j).
     """
-    alg = endo.algebra
-    n = alg.n
-    zr = alg.z_poly_ring()
-    cells: list[list[list[tuple[CommPoly, CommPoly]]]] = [
-        [[] for _ in range(n)] for _ in range(n)
+    from .jacobian import jacobian_linear
+
+    zr = endo.algebra.z_poly_ring()
+    return [
+        [
+            [(zr.term(c, (p,)), zr.term(1, (q,))) for (p, q), c in sorted(e._terms.items())]
+            for e in row
+        ]
+        for row in jacobian_linear(endo).entries
     ]
-    for j, f in enumerate(endo.images):
-        split = x_split(f)
-        if not split.f0.is_zero():
-            word = next(iter(sorted(split.f0._terms)))
-            raise NotXLinearError(j + 1, word)
-        if not split.f2.is_zero():
-            word = next(iter(sorted(split.f2._terms)))
-            raise NotXLinearError(j + 1, word)
-        by_cell: dict[int, list[tuple[int, int, Scalar]]] = {}
-        for w, c in split.f1._terms.items():
-            pos = next(k for k, l in enumerate(w) if l < n)
-            i = w[pos]
-            by_cell.setdefault(i, []).append((pos, len(w) - pos - 1, c))
-        for i, triples in by_cell.items():
-            for a, b, c in sorted(triples, key=lambda t: (t[0], t[1])):
-                cells[i][j].append((zr.term(c, (a,)), zr.term(1, (b,))))
-    return cells
 
 
 def profile_to_endo(
@@ -383,20 +372,17 @@ def profile_to_endo(
     algebra: FreeAlgebra,
 ) -> KzEndo:
     """Rebuild the x-linear endomorphism whose profile is the given cell grid."""
-    n = algebra.n
-    images = []
-    for j in range(n):
-        f = algebra.zero
-        for i in range(n):
-            xi = algebra.gen(i)
-            for b, c in cells[i][j]:
-                f = f + _z_poly_to_nc(b, algebra) * xi * _z_poly_to_nc(c, algebra)
-        images.append(f)
-    return KzEndo(algebra, images)
+    from .jacobian import matrix_to_endo
+    from .matgroup import PolyMatrix
 
-
-def _z_poly_to_nc(p: CommPoly, algebra: FreeAlgebra) -> NCPoly:
-    if p.ring.nvars != 1:
-        raise ContextError("expected a univariate z-polynomial")
-    z = algebra.z_letter
-    return NCPoly(algebra, {(z,) * m[0]: c for m, c in p._terms.items()})
+    ring = algebra.pair_ring()
+    z1, z2 = ring.gens()
+    entries = []
+    for row in cells:
+        entries.append([])
+        for cell in row:
+            acc = ring.zero
+            for b, c in cell:
+                acc = acc + b.substitute([z1]) * c.substitute([z2])
+            entries[-1].append(acc)
+    return matrix_to_endo(PolyMatrix(ring, entries), algebra)

@@ -6,6 +6,11 @@ each occurrence of that generator, yielding a sum of prefix/suffix tensors.
 For endomorphisms whose images are x-linear the Jacobian collapses to a
 matrix over K[z1, z2]: z-powers left of the split point become powers of z1,
 those right of it powers of z2.
+
+This module owns both directions of that bridge: jacobian_linear reads the
+word z^p x_i z^q of the j-th image as the monomial z1^p z2^q in entry (i, j),
+and matrix_to_endo writes it back.  Every other view of an x-linear map (the
+profile cells, elementary automorphism factors) goes through this pair.
 """
 
 from __future__ import annotations
@@ -14,8 +19,8 @@ from fractions import Fraction
 from typing import Iterator
 
 from .commpoly import CommPoly, PolyRing
-from .errors import ContextError, DomainError
-from .freealg import FreeAlgebra, KzEndo, NCPoly, Word, linear_profile
+from .errors import ContextError, DomainError, NotXLinearError
+from .freealg import FreeAlgebra, KzEndo, NCPoly, Word, default_xnames, x_split
 from .matgroup import PolyMatrix
 from .scalars import FpElement, Scalar
 
@@ -190,22 +195,53 @@ def tensor_to_pair_poly(t: TensorElem, ring: PolyRing | None = None) -> CommPoly
 def jacobian_linear(endo: KzEndo) -> PolyMatrix:
     """The Jacobian of an x-linear endomorphism as a matrix over K[z1, z2].
 
-    A term b(z) x_i c(z) of the j-th image contributes b(z1) c(z2) to entry
-    (i, j).  Raises NotXLinearError when an image is not x-linear.
+    A term c z^p x_i z^q of the j-th image contributes c z1^p z2^q to entry
+    (i, j).  Raises NotXLinearError when an image is not x-linear, naming the
+    image and its least pure-z term, or else its least term of x-degree >= 2.
     """
     alg = endo.algebra
+    n = alg.n
+    cells: list[list[dict]] = [[{} for _ in range(n)] for _ in range(n)]
+    for j, f in enumerate(endo.images):
+        for w, c in f._terms.items():
+            xs = [k for k, l in enumerate(w) if l < n]
+            if len(xs) != 1:
+                raise _not_x_linear(j, f)
+            k = xs[0]
+            cells[w[k]][j][(k, len(w) - k - 1)] = c
     ring = alg.pair_ring()
-    z1, z2 = ring.gens()
-    cells = linear_profile(endo)
-    n = endo.n
-    entries = [[ring.zero for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            acc = ring.zero
-            for b, c in cells[i][j]:
-                acc = acc + b.substitute([z1]) * c.substitute([z2])
-            entries[i][j] = acc
-    return PolyMatrix(ring, entries)
+    return PolyMatrix(ring, [[CommPoly(ring, cell) for cell in row] for row in cells])
+
+
+def _not_x_linear(j: int, f: NCPoly) -> NotXLinearError:
+    split = x_split(f)
+    bad = split.f0 if not split.f0.is_zero() else split.f2
+    return NotXLinearError(j + 1, min(bad._terms))
+
+
+def matrix_to_endo(m: PolyMatrix, algebra: FreeAlgebra | None = None) -> KzEndo:
+    """The x-linear endomorphism whose Jacobian is the matrix; the inverse of
+    jacobian_linear.
+
+    The monomial c z1^p z2^q at entry (i, j) contributes c z^p x_i z^q to the
+    j-th image.
+    """
+    if m.ring.nvars != 2:
+        raise ContextError("expected a matrix over K[z1, z2]")
+    n = m.n
+    if algebra is None:
+        algebra = FreeAlgebra(m.ring.field, default_xnames(n))
+    elif algebra.n != n:
+        raise ContextError(f"algebra has {algebra.n} generators, matrix size is {n}")
+    z = algebra.z_letter
+    images = []
+    for j in range(n):
+        terms: dict = {}
+        for i in range(n):
+            for (p, q), coeff in m.entries[i][j]._terms.items():
+                terms[(z,) * p + (i,) + (z,) * q] = coeff
+        images.append(NCPoly(algebra, terms))
+    return KzEndo(algebra, images)
 
 
 def specialize_pair_matrix(m: PolyMatrix, ring: PolyRing | None = None) -> PolyMatrix:

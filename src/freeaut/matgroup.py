@@ -150,14 +150,15 @@ def det(m: PolyMatrix) -> CommPoly:
     return m.det()
 
 
-def is_gl(m: PolyMatrix) -> bool:
-    """Whether the matrix is invertible over the polynomial ring.
+def _is_unit(p: CommPoly) -> bool:
+    """Units of K[z1..zp] over a field are the nonzero constants."""
+    return p.is_constant() and not p.is_zero()
 
-    Units of K[z1..zp] over a field are the nonzero constants, so this is a
-    constancy test on the determinant.
-    """
-    d = m.det()
-    return d.is_constant() and not d.is_zero()
+
+def is_gl(m: PolyMatrix) -> bool:
+    """Whether the matrix is invertible over the polynomial ring, i.e. whether
+    its determinant is a unit."""
+    return _is_unit(m.det())
 
 
 @dataclass(frozen=True)
@@ -333,8 +334,14 @@ def _unit_inverse(field, c: Scalar) -> Scalar:
 def _finish_triangular(
     ring: PolyRing, recorded: list, current: list
 ) -> Transcript:
-    """Decompose [[a, b], [0, d]] with unit constants a, d as one Elem and
-    one Diag factor appended to the recorded prefix."""
+    """Decompose [[a, b], [0, d]] as one Elem and one Diag factor appended to
+    the recorded prefix.
+
+    The determinant a d is a unit exactly when a and d both are, so any other
+    diagonal proves the input singular and raises NotInvertibleError.
+    """
+    if not (_is_unit(current[0][0]) and _is_unit(current[1][1])):
+        raise NotInvertibleError("matrix determinant is not a nonzero constant")
     field = ring.field
     a = current[0][0].constant_value()
     d = current[1][1].constant_value()
@@ -352,13 +359,18 @@ def ge2_decide(m: PolyMatrix, order: MonomialOrder) -> Union[Tame, Wild]:
 
     Each division step cancels exactly the leading term of one column entry,
     strictly decreasing it in the well-founded monomial order, so the loop
-    terminates.  A state where neither leading monomial divides the other is
-    returned as a Wild witness.
+    terminates, and its end state settles invertibility too:
+
+    - triangular with a constant diagonal: the recorded factors are the Tame
+      certificate, which proves the input invertible;
+    - triangular with a non-constant diagonal: the input is singular and
+      NotInvertibleError is raised;
+    - stuck, neither first-column leading monomial dividing the other: the
+      stuck matrix has determinant +-det(m), so it is returned as a Wild
+      witness when that is a unit and NotInvertibleError is raised otherwise.
     """
     if m.n != 2:
         raise ContextError("the elementary-decomposition decision is for 2x2 matrices")
-    if not is_gl(m):
-        raise NotInvertibleError("matrix determinant is not a nonzero constant")
     ring = m.ring
     recorded: list = []
     current = [list(row) for row in m.entries]
@@ -382,22 +394,25 @@ def ge2_decide(m: PolyMatrix, order: MonomialOrder) -> Union[Tame, Wild]:
             current[1] = [current[1][k] - qp * current[0][k] for k in range(2)]
             recorded.append(Elem(2, 1, qp))
             continue
-        return Wild(PolyMatrix(ring, current))
+        witness = PolyMatrix(ring, current)
+        if not is_gl(witness):
+            raise NotInvertibleError("matrix determinant is not a nonzero constant")
+        return Wild(witness)
 
 
 def gl2_univariate_decompose(m: PolyMatrix) -> Transcript:
     """Decompose an invertible 2x2 matrix over K[z] by Euclidean division.
 
     K[z] is a principal ideal domain, so full-quotient division on the first
-    column always reaches a triangular matrix; this never fails on invertible
-    input.
+    column always reaches a triangular matrix and never gets stuck.  That end
+    state decides invertibility: with a constant diagonal the recorded
+    factors are the transcript, with a non-constant one the input is singular
+    and NotInvertibleError is raised.
     """
     if m.n != 2:
         raise ContextError("univariate decomposition is for 2x2 matrices")
     if m.ring.nvars != 1:
         raise ContextError("expected a matrix over a univariate ring")
-    if not is_gl(m):
-        raise NotInvertibleError("matrix determinant is not a nonzero constant")
     ring = m.ring
     recorded: list = []
     current = [list(row) for row in m.entries]
@@ -526,7 +541,7 @@ def _eliminate(
     units = []
     for k in range(n):
         d = current[k][k]
-        if not (d.is_constant() and not d.is_zero()):
+        if not _is_unit(d):
             return None
         units.append(d.constant_value())
     for col in range(1, n):
@@ -549,12 +564,11 @@ def stabilize3(m: PolyMatrix) -> Transcript | None:
 
     Tries, in order: the [[1+ab, b^2], [-a^2, 1-ab]] family via the explicit
     eight-factor identity, an ordinary 2x2 decomposition embedded into size
-    3, and bounded 3x3 elimination.
+    3, and bounded 3x3 elimination.  A singular input is never in the family,
+    so the 2x2 decision raises NotInvertibleError on it.
     """
     if m.n != 2:
         raise ContextError("stabilization applies to 2x2 matrices")
-    if not is_gl(m):
-        raise NotInvertibleError("matrix determinant is not a nonzero constant")
     ring = m.ring
     target = m.embed(3)
     if m.is_identity():

@@ -114,6 +114,19 @@ def test_is_tame_rejects_noninvertible():
         is_tame(KzEndo(ALG, (z * x * z, y)))
 
 
+def test_tame_verdict_carries_its_transcript():
+    rng = random.Random(139)
+    for alg in (ALG, FreeAlgebra(QQ, ("x", "y", "t"))):
+        for _ in range(20):
+            endo = rand_automorphism(alg, rng, max_factors=4)
+            v = is_tame(endo)
+            if v.kind != "tame":
+                assert v.transcript is None
+                continue
+            assert verify_transcript(v.transcript, jacobian_linear(endo))
+            assert transcript_to_autofactors(v.transcript) == v.factors
+
+
 def test_is_tame_one_generator():
     alg1 = FreeAlgebra(QQ, ("x",))
     e = KzEndo(alg1, (alg1.gen(0).scale(Fraction(3)),))

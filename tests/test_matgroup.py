@@ -8,6 +8,7 @@ from freeaut import (
     Diag,
     DomainError,
     Elem,
+    FreeAlgebra,
     MonomialOrder,
     NotInvertibleError,
     PolyMatrix,
@@ -24,12 +25,15 @@ from freeaut import (
     ge2_decide,
     gl2_univariate_decompose,
     is_gl,
+    is_tame,
+    jacobian_linear,
+    matrix_to_endo,
     mennicke_factors,
     stabilize3,
     term_divide,
     verify_transcript,
 )
-from support import rand_poly, rand_transcript
+from support import rand_automorphism, rand_linear_endo, rand_poly, rand_transcript
 
 PAIR = PolyRing(QQ, ("z1", "z2"))
 Z1, Z2 = PAIR.gens()
@@ -299,6 +303,72 @@ def test_stabilize_contract_on_hard_inputs():
     assert t is None or verify_transcript(t, hard.embed(3))
     with pytest.raises(NotInvertibleError):
         stabilize3(PolyMatrix(PAIR, [[Z1, 0], [0, 1]]))
+
+
+# Singular 2x2 matrices whose first-column elimination gets stuck: the
+# Jacobian of x -> z x + y z, y -> x z + z y (det z1^2 - z2^2), and the Cohn
+# matrix with the sign of its lower-left entry flipped (det 1 - 2 z1^2 z2^2).
+STUCK_SINGULAR = [
+    PolyMatrix(PAIR, [[Z1, Z2], [Z2, Z1]]),
+    PolyMatrix(PAIR, [[1 + Z1 * Z2, Z2**2], [Z1**2, 1 - Z1 * Z2]]),
+]
+
+
+def test_stuck_singular_rejected_by_every_decision():
+    for m in STUCK_SINGULAR:
+        assert not is_gl(m)
+        for order in ALL_ORDERS:
+            with pytest.raises(NotInvertibleError):
+                ge2_decide(m, order)
+            with pytest.raises(NotInvertibleError):
+                is_tame(matrix_to_endo(m), order)
+        with pytest.raises(NotInvertibleError):
+            stabilize3(m)
+
+
+def test_ge2_raises_exactly_on_singular_input():
+    rng = random.Random(131)
+    for field in (QQ, PrimeField(7)):
+        alg = FreeAlgebra(field, ("x", "y"))
+        jacs = [jacobian_linear(rand_automorphism(alg, rng)) for _ in range(25)]
+        jacs += [jacobian_linear(rand_linear_endo(alg, rng)) for _ in range(25)]
+        ring = alg.pair_ring()
+        jacs += [
+            rand_transcript(ring, rng, max_factors=3).product() * cohn_matrix(field)
+            for _ in range(10)
+        ]
+        for m in jacs:
+            invertible = is_gl(m)
+            for order in ALL_ORDERS:
+                try:
+                    res = ge2_decide(m, order)
+                except NotInvertibleError:
+                    assert not invertible
+                    continue
+                assert invertible
+                if isinstance(res, Tame):
+                    assert verify_transcript(res.transcript, m)
+                else:
+                    assert is_gl(res.witness)
+                    assert_stuck_witness(res.witness, order)
+
+
+def test_univariate_raises_exactly_on_singular_input():
+    rng = random.Random(137)
+    for field in (QQ, PrimeField(7)):
+        ring = PolyRing(field, ("z",))
+        mats = [rand_transcript(ring, rng).product() for _ in range(40)]
+        mats += [
+            PolyMatrix(ring, [[rand_poly(ring, rng) for _ in range(2)] for _ in range(2)])
+            for _ in range(40)
+        ]
+        for m in mats:
+            try:
+                t = gl2_univariate_decompose(m)
+            except NotInvertibleError:
+                assert not is_gl(m)
+                continue
+            assert verify_transcript(t, m)
 
 
 def test_matrix_basics():
