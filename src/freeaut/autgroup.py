@@ -230,7 +230,12 @@ def is_tame(endo: KzEndo, order: MonomialOrder | None = None) -> TameVerdict:
 
 
 def invert_linear(endo: KzEndo) -> KzEndo:
-    """The inverse of an x-linear automorphism, via the adjugate Jacobian."""
+    """The inverse of an x-linear automorphism, via the adjugate Jacobian.
+
+    The Jacobian's inverse is adj(J) / det(J); both come from Laplace
+    expansion over row subsets (PolyMatrix.det, PolyMatrix.adjugate), about
+    4n * 2^(n-1) polynomial products in all, exact and division-free.
+    """
     jac = jacobian_linear(endo)
     d = jac.det()
     if not _is_unit(d):

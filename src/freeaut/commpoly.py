@@ -130,7 +130,7 @@ class CommPoly:
 
     def _coerce(self, other):
         if isinstance(other, CommPoly):
-            if other.ring != self.ring:
+            if other.ring is not self.ring and other.ring != self.ring:
                 raise ContextError("operands belong to different polynomial rings")
             return other
         if isinstance(other, (int, Fraction, FpElement)):

@@ -13,13 +13,22 @@ from math import isqrt
 
 from .errors import ContextError, DomainError
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# psi_13, the least strong pseudoprime to all thirteen bases above
+# (Sorenson & Webster, Math. Comp. 2017); below it the test is exact.
+_MR_LIMIT = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, valid for all n below 3.3e24."""
+    """Deterministic Miller-Rabin to the prime bases up to 41, exact for
+    every n below psi_13 = 3317044064679887385961981 (about 3.3e24).
+
+    Raises DomainError from psi_13 on rather than guess.
+    """
     if n < 2:
         return False
+    if n >= _MR_LIMIT:
+        raise DomainError(f"{n} is too large to test for primality (limit {_MR_LIMIT})")
     for p in _MR_BASES:
         if n % p == 0:
             return n == p

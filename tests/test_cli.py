@@ -244,6 +244,17 @@ def test_usage_errors(capsys, tmp_path):
     assert run(capsys, "tame", "--help")[0] == EXIT_OK
 
 
+def test_pseudoprime_field_is_usage_error(capsys, tmp_path):
+    psi_12 = 318665857834031151167461  # composite, strong pseudoprime to bases 2..37
+    spec = tmp_path / "psi12.endo"
+    spec.write_text(f"vars: x y, fixed: z\nfield: fp:{psi_12}\nx -> x\ny -> y\n")
+    code, out, err = run(capsys, "tame", str(spec))
+    assert code == EXIT_USAGE and out == ""
+    assert f"{psi_12} is not prime (line 2)" in err
+    code, _, err = run(capsys, "tame", "--field", f"fp:{psi_12}", IDENTITY)
+    assert code == EXIT_USAGE and "is not prime" in err
+
+
 @pytest.mark.parametrize(
     "name,argv",
     [

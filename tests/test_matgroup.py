@@ -33,7 +33,13 @@ from freeaut import (
     term_divide,
     verify_transcript,
 )
-from support import rand_automorphism, rand_linear_endo, rand_poly, rand_transcript
+from support import (
+    rand_automorphism,
+    rand_linear_endo,
+    rand_poly,
+    rand_scalar,
+    rand_transcript,
+)
 
 PAIR = PolyRing(QQ, ("z1", "z2"))
 Z1, Z2 = PAIR.gens()
@@ -79,7 +85,7 @@ def test_det_multiplicative():
 
 def test_adjugate_law():
     rng = random.Random(83)
-    for n in (1, 2, 3):
+    for n in (1, 2, 3, 4, 5):
         for _ in range(40):
             m = PolyMatrix(
                 PAIR, [[rand_poly(PAIR, rng, deg=2, terms=2) for _ in range(n)] for _ in range(n)]
@@ -382,3 +388,141 @@ def test_matrix_basics():
         m * PolyMatrix.identity(PAIR, 3)
     assert m.embed(3).n == 3
     assert m.embed(3)[2, 2] == PAIR.one
+
+
+# -- reference oracles: the dense product and the recursive cofactor det --
+
+
+def dense_product(t):
+    """The transcript product as dense n x n matrix products, factor by factor."""
+    acc = PolyMatrix.identity(t.ring, t.n)
+    for f in t.factors:
+        acc = acc * f.matrix(t.ring, t.n)
+    return acc
+
+
+def cofactor_det(m):
+    """Determinant by recursive expansion along the first column."""
+    ent, n = m.entries, m.n
+    if n == 1:
+        return ent[0][0]
+    acc = m.ring.zero
+    for i in range(n):
+        if ent[i][0].is_zero():
+            continue
+        minor = [[ent[r][c] for c in range(1, n)] for r in range(n) if r != i]
+        cofactor = ent[i][0] * cofactor_det(PolyMatrix(m.ring, minor))
+        acc = acc + (cofactor if i % 2 == 0 else -cofactor)
+    return acc
+
+
+def cofactor_adjugate(m):
+    """Entry (i, j) is the signed minor of m without row j and column i."""
+    ent, n, ring = m.entries, m.n, m.ring
+    if n == 1:
+        return PolyMatrix(ring, [[ring.one]])
+    rows = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            minor = [[ent[r][c] for c in range(n) if c != i] for r in range(n) if r != j]
+            cof = cofactor_det(PolyMatrix(ring, minor))
+            row.append(cof if (i + j) % 2 == 0 else -cof)
+        rows.append(row)
+    return PolyMatrix(ring, rows)
+
+
+def sparse_matrix(ring, rng, n, density):
+    """A random n x n matrix with each entry nonzero with probability
+    density, and sometimes one zero row or one zero column."""
+    rows = [
+        [rand_poly(ring, rng, deg=2, terms=2) if rng.random() < density else ring.zero for _ in range(n)]
+        for _ in range(n)
+    ]
+    shape = rng.random()
+    if shape < 0.2:
+        rows[rng.randrange(n)] = [ring.zero] * n
+    elif shape < 0.4:
+        c = rng.randrange(n)
+        for row in rows:
+            row[c] = ring.zero
+    return PolyMatrix(ring, rows)
+
+
+def mixed_transcript(ring, rng, n, length):
+    """Random Elem, Diag and Swap factors (only Diag when n = 1); Elem
+    polynomials may be zero."""
+    factors = []
+    for _ in range(length):
+        kind = rng.random() if n > 1 else 0.9
+        if kind < 0.6:
+            i, j = rng.sample(range(1, n + 1), 2)
+            factors.append(Elem(i, j, rand_poly(ring, rng, deg=2, terms=2)))
+        elif kind < 0.8:
+            i, j = rng.sample(range(1, n + 1), 2)
+            factors.append(Swap(i, j))
+        else:
+            units = tuple(rand_scalar(ring.field, rng, nonzero=True) for _ in range(n))
+            factors.append(Diag(units))
+    return Transcript(ring, n, tuple(factors))
+
+
+FIELD_RINGS = [PAIR, PolyRing(PrimeField(7), ("z1", "z2"))]
+
+
+def test_product_matches_dense_oracle():
+    rng = random.Random(107)
+    for ring in FIELD_RINGS:
+        for n in range(1, 7):
+            for _ in range(12):
+                t = mixed_transcript(ring, rng, n, rng.randint(0, 12))
+                assert t.product() == dense_product(t)
+
+
+def test_product_of_swaps_and_diagonals():
+    f = Fraction
+    t = Transcript(PAIR, 3, (Swap(1, 3), Diag((f(2), f(1), f(-1))), Swap(2, 3)))
+    assert t.product() == dense_product(t)
+    assert t.product() == PolyMatrix(PAIR, [[0, -1, 0], [0, 0, 1], [2, 0, 0]])
+    f7 = PrimeField(7)
+    r7 = FIELD_RINGS[1]
+    unit_fraction = Transcript(r7, 2, (Elem(1, 2, r7.gen(0)), Diag((f(3, 2), f(1)))))
+    assert unit_fraction.product() == dense_product(unit_fraction)
+    assert unit_fraction.product()[0, 0] == r7.constant(f7(3) / f7(2))
+
+
+def test_product_keeps_context_errors():
+    t = Transcript(PAIR, 2, (Elem(1, 2, Z),))
+    with pytest.raises(ContextError, match="factor polynomial lies in a different ring"):
+        t.product()
+    for f in (Elem(1, 3, Z1), Swap(3, 1)):
+        with pytest.raises(ContextError, match="exceeds matrix size"):
+            Transcript(PAIR, 2, (f,)).product()
+    with pytest.raises(ContextError, match="units"):
+        Transcript(PAIR, 2, (Diag((Fraction(1),) * 3),)).product()
+
+
+def test_det_and_adjugate_match_cofactor_oracle():
+    rng = random.Random(109)
+    for ring in FIELD_RINGS:
+        for n in range(1, 7):
+            for density in (0.3, 0.7, 1.0):
+                for _ in range(4 if n < 6 else 1):
+                    m = sparse_matrix(ring, rng, n, density)
+                    assert m.det() == cofactor_det(m)
+                    assert m.adjugate() == cofactor_adjugate(m)
+
+
+def test_det_and_adjugate_of_structured_matrices():
+    for n in range(1, 7):
+        zero = PolyMatrix(PAIR, [[0] * n for _ in range(n)])
+        assert det(zero) == PAIR.zero
+        assert zero.adjugate() == cofactor_adjugate(zero)
+        # A permutation matrix scaled by a variable: one nonzero term per row.
+        perm = list(range(n))[::-1]
+        m = PolyMatrix(PAIR, [[Z1 if perm[r] == c else 0 for c in range(n)] for r in range(n)])
+        assert det(m) == cofactor_det(m)
+        assert m.adjugate() == cofactor_adjugate(m)
+        upper = PolyMatrix(PAIR, [[Z2 + c if c >= r else 0 for c in range(n)] for r in range(n)])
+        assert det(upper) == cofactor_det(upper)
+        assert upper.adjugate() == cofactor_adjugate(upper)

@@ -24,6 +24,26 @@ def test_prime_field_rejects_composites():
     PrimeField(101)
 
 
+PSI_12 = 318665857834031151167461  # 399165290221 * 798330580441
+PSI_13 = 3317044064679887385961981
+
+
+def test_is_prime_strong_pseudoprimes():
+    # psi_12 is a strong pseudoprime to every prime base up to 37; base 41
+    # exposes it.  psi_13 fools all bases up to 41, so is_prime refuses to
+    # answer from there on rather than guess.
+    assert 399165290221 * 798330580441 == PSI_12
+    assert not is_prime(PSI_12)
+    with pytest.raises(DomainError):
+        PrimeField(PSI_12)
+    assert not is_prime(PSI_13 - 1)
+    for n in (PSI_13, PSI_13 + 2, 2**89 - 1):
+        with pytest.raises(DomainError):
+            is_prime(n)
+    with pytest.raises(DomainError):
+        field_from_name(f"fp:{PSI_13}")
+
+
 def test_fp_arithmetic_basics():
     f7 = PrimeField(7)
     a, b = f7(3), f7(5)
