@@ -10,7 +10,7 @@ used by the elimination algorithms.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import ContextError, DomainError
 from .scalars import Field, FpElement, Scalar
@@ -187,16 +187,46 @@ class CommPoly:
 
     __rmul__ = __mul__
 
+    @classmethod
+    def sum(cls, ring: PolyRing, parts: Iterable["CommPoly"]) -> "CommPoly":
+        """The sum of the polynomials in parts, built in one pass.
+
+        The parts' terms are merged into one map, so the cost is linear in
+        their total term count, where a fold of ``+`` copies the running sum
+        once per part.  Cancelled coefficients are dropped, so the result is
+        canonical; an empty parts gives the zero of ring.  Raises
+        ContextError when a part belongs to another ring.
+        """
+        merged: dict = {}
+        for p in parts:
+            if p.ring is not ring and p.ring != ring:
+                raise ContextError("operands belong to different polynomial rings")
+            for mono, c in p._terms.items():
+                s = merged.get(mono)
+                merged[mono] = c if s is None else s + c
+        return cls(ring, merged)
+
+    def __len__(self):
+        """The number of terms."""
+        return len(self._terms)
+
     def __pow__(self, e: int):
+        """The e-th power; a single term raises its exponents and coefficient
+        directly; anything else uses square-and-multiply, which squares the
+        base only while higher exponent bits remain."""
         if e < 0:
             raise DomainError("negative polynomial powers are not defined")
+        if len(self._terms) == 1:
+            ((mono, c),) = self._terms.items()
+            return CommPoly(self.ring, {tuple(a * e for a in mono): c**e})
         result = self.ring.one
         base = self
         while e:
             if e & 1:
                 result = result * base
-            base = base * base
             e >>= 1
+            if e:
+                base = base * base
         return result
 
     def scale(self, c) -> "CommPoly":
@@ -210,6 +240,9 @@ class CommPoly:
 
         All images must live in one common target ring over the same field.
         Specializing every variable to a constant evaluates the polynomial.
+        Each term's image is built by multiplication and the images are
+        summed once with :meth:`sum`, so the final sum is linear in their
+        total term count.
         """
         if len(images) != self.ring.nvars:
             raise ContextError(
@@ -221,14 +254,14 @@ class CommPoly:
         for im in images:
             if im.ring != target:
                 raise ContextError("substitution images belong to different rings")
-        result = target.zero
+        parts = []
         for mono, c in self._terms.items():
             term = target.constant(c)
             for i, e in enumerate(mono):
                 if e:
                     term = term * images[i] ** e
-            result = result + term
-        return result
+            parts.append(term)
+        return CommPoly.sum(target, parts)
 
     # -- structural ---------------------------------------------------------
 

@@ -9,7 +9,7 @@ the distinguished letter z.  Polynomial values are immutable term maps, as in
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .commpoly import CommPoly, PolyRing
 from .errors import ContextError, DomainError
@@ -136,7 +136,7 @@ class NCPoly:
 
     def _coerce(self, other):
         if isinstance(other, NCPoly):
-            if other.algebra != self.algebra:
+            if other.algebra is not self.algebra and other.algebra != self.algebra:
                 raise ContextError("operands belong to different free algebras")
             return other
         if isinstance(other, (int, Fraction, FpElement)):
@@ -197,16 +197,46 @@ class NCPoly:
             return NotImplemented
         return other * self
 
+    @classmethod
+    def sum(cls, algebra: FreeAlgebra, parts: Iterable["NCPoly"]) -> "NCPoly":
+        """The sum of the polynomials in parts, built in one pass.
+
+        The parts' terms are merged into one map, so the cost is linear in
+        their total term count, where a fold of ``+`` copies the running sum
+        once per part.  Cancelled coefficients are dropped, so the result is
+        canonical; an empty parts gives the zero of algebra.  Raises
+        ContextError when a part lies in another free algebra.
+        """
+        merged: dict = {}
+        for p in parts:
+            if p.algebra is not algebra and p.algebra != algebra:
+                raise ContextError("operands belong to different free algebras")
+            for w, c in p._terms.items():
+                s = merged.get(w)
+                merged[w] = c if s is None else s + c
+        return cls(algebra, merged)
+
+    def __len__(self):
+        """The number of terms."""
+        return len(self._terms)
+
     def __pow__(self, e: int):
+        """The e-th power; a single term repeats its word and raises its
+        coefficient directly; anything else uses square-and-multiply, which
+        squares the base only while higher exponent bits remain."""
         if e < 0:
             raise DomainError("negative powers are not defined in a free algebra")
+        if len(self._terms) == 1:
+            ((w, c),) = self._terms.items()
+            return NCPoly(self.algebra, {w * e: c**e})
         result = self.algebra.one
         base = self
         while e:
             if e & 1:
                 result = result * base
-            base = base * base
             e >>= 1
+            if e:
+                base = base * base
         return result
 
     def scale(self, c) -> "NCPoly":
@@ -267,7 +297,7 @@ class KzEndo:
                 f"expected {algebra.n} images, got {len(images)}"
             )
         for f in images:
-            if f.algebra != algebra:
+            if f.algebra is not algebra and f.algebra != algebra:
                 raise ContextError("image lies in a different free algebra")
         self.algebra = algebra
         self.images = images
@@ -281,22 +311,27 @@ class KzEndo:
         return self.algebra.n
 
     def apply(self, f: NCPoly) -> NCPoly:
-        """The algebra homomorphism determined by x_i -> images[i], z -> z."""
-        if f.algebra != self.algebra:
-            raise ContextError("argument lies in a different free algebra")
+        """The algebra homomorphism determined by x_i -> images[i], z -> z.
+
+        Each term's image is the product of its letters' images; the term
+        images are summed once with :meth:`NCPoly.sum`, so the final sum is
+        linear in their total term count.
+        """
         alg = self.algebra
+        if f.algebra is not alg and f.algebra != alg:
+            raise ContextError("argument lies in a different free algebra")
         letter_images = self.images + (alg.z(),)
-        result = alg.zero
+        parts = []
         for w, c in f._terms.items():
             term = alg.constant(c)
             for letter in w:
                 term = term * letter_images[letter]
-            result = result + term
-        return result
+            parts.append(term)
+        return NCPoly.sum(alg, parts)
 
     def compose(self, other: "KzEndo") -> "KzEndo":
         """self after other: the composite sends x_j to self.apply(other(x_j))."""
-        if other.algebra != self.algebra:
+        if other.algebra is not self.algebra and other.algebra != self.algebra:
             raise ContextError("endomorphisms live on different free algebras")
         return KzEndo(self.algebra, [self.apply(g) for g in other.images])
 
@@ -377,12 +412,11 @@ def profile_to_endo(
 
     ring = algebra.pair_ring()
     z1, z2 = ring.gens()
-    entries = []
-    for row in cells:
-        entries.append([])
-        for cell in row:
-            acc = ring.zero
-            for b, c in cell:
-                acc = acc + b.substitute([z1]) * c.substitute([z2])
-            entries[-1].append(acc)
+    entries = [
+        [
+            CommPoly.sum(ring, [b.substitute([z1]) * c.substitute([z2]) for b, c in cell])
+            for cell in row
+        ]
+        for row in cells
+    ]
     return matrix_to_endo(PolyMatrix(ring, entries), algebra)

@@ -50,7 +50,7 @@ class TensorElem:
 
     @classmethod
     def from_pair(cls, left: NCPoly, right: NCPoly) -> "TensorElem":
-        if left.algebra != right.algebra:
+        if left.algebra is not right.algebra and left.algebra != right.algebra:
             raise ContextError("tensor factors lie in different free algebras")
         terms: dict = {}
         for wl, cl in left._terms.items():
@@ -72,7 +72,7 @@ class TensorElem:
 
     def _coerce(self, other):
         if isinstance(other, TensorElem):
-            if other.algebra != self.algebra:
+            if other.algebra is not self.algebra and other.algebra != self.algebra:
                 raise ContextError("operands lie over different free algebras")
             return other
         if isinstance(other, (int, Fraction, FpElement)):
@@ -267,10 +267,11 @@ def abelianize_endo(endo: KzEndo) -> tuple[tuple[CommPoly, ...], PolyMatrix]:
     m = specialize_pair_matrix(jacobian_linear(endo))
     comm_ring = PolyRing(alg.field, alg.xnames + ("z",))
     z = comm_ring.gen(alg.n)
-    images = []
-    for j in range(endo.n):
-        f = comm_ring.zero
-        for i in range(endo.n):
-            f = f + m.entries[i][j].substitute([z]) * comm_ring.gen(i)
-        images.append(f)
-    return tuple(images), m
+    n = endo.n
+    images = tuple(
+        CommPoly.sum(
+            comm_ring, [m.entries[i][j].substitute([z]) * comm_ring.gen(i) for i in range(n)]
+        )
+        for j in range(n)
+    )
+    return images, m

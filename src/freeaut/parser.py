@@ -14,13 +14,21 @@ starts a comment running to the end of the line.
 Printing is deterministic: terms ascend by degree then exponent/letter
 sequence, repeated letters compress to powers, unit coefficients are
 omitted.  parse(print(v)) = v holds for every canonical value.
+
+Input limits: parsing expands products and powers, so an expression can
+name far more terms than it has characters.  An exponent above
+MAX_EXPONENT is rejected, and so is a product or power whose term bound
+(len(a)*len(b) for a product, len(base)^e for a power of a base with more
+than one term) exceeds MAX_TERMS; both are checked before expanding and
+raise ParseError at the offending token.  The limits bound parsed input
+only; arithmetic on library values is unbounded.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .commpoly import CommPoly, PolyRing
 from .errors import ParseError
@@ -36,6 +44,9 @@ _TOKEN_RE = re.compile(
     r"|(?P<ARROW>->)"
     r"|(?P<OP>[-+*/^(),:])"
 )
+
+MAX_EXPONENT = 10_000
+MAX_TERMS = 100_000
 
 
 class _Token:
@@ -72,15 +83,17 @@ def _tokenize(text: str, line: int = 1, col_offset: int = 0) -> list[_Token]:
 class _ExprParser:
     """Recursive-descent expression parser over a symbol table.
 
-    The symbol table maps generator names to ring/algebra values; arithmetic
-    is performed directly on those values, so one parser serves both the
-    commutative and the noncommutative side.
+    The symbol table maps generator names to values of ctx, a PolyRing or a
+    FreeAlgebra; arithmetic is performed directly on those values, so one
+    parser serves both the commutative and the noncommutative side.
     """
 
-    def __init__(self, tokens: list[_Token], symbols: dict, const: Callable, line: int):
+    def __init__(
+        self, tokens: list[_Token], symbols: dict, ctx: PolyRing | FreeAlgebra, line: int
+    ):
         self.tokens = tokens
         self.symbols = symbols
-        self.const = const
+        self.ctx = ctx
         self.line = line
         self.pos = 0
 
@@ -116,21 +129,19 @@ class _ExprParser:
         return value
 
     def expr(self):
-        sign = 1
+        parts = []
         t = self._peek()
+        negate = t is not None and t.kind == "-"
         if t is not None and t.kind in ("+", "-"):
             self._next()
-            sign = -1 if t.kind == "-" else 1
-        value = self.term()
-        if sign < 0:
-            value = -value
         while True:
+            value = self.term()
+            parts.append(-value if negate else value)
             t = self._peek()
             if t is None or t.kind not in ("+", "-"):
-                return value
+                return type(value).sum(self.ctx, parts)
             self._next()
-            rhs = self.term()
-            value = value - rhs if t.kind == "-" else value + rhs
+            negate = t.kind == "-"
 
     def term(self):
         value = None
@@ -144,9 +155,9 @@ class _ExprParser:
                 den = int(dt.text)
                 if den == 0:
                     raise ParseError("zero denominator", dt.line, dt.col)
-                value = self.const(Fraction(num, den))
+                value = self.ctx.constant(Fraction(num, den))
             else:
-                value = self.const(Fraction(num))
+                value = self.ctx.constant(Fraction(num))
         while True:
             t = self._peek()
             if t is not None and t.kind == "*":
@@ -161,6 +172,13 @@ class _ExprParser:
             if t is None or t.kind not in ("NAME", "("):
                 break
             f = self.factor()
+            if value is not None and len(value) * len(f) > MAX_TERMS:
+                raise ParseError(
+                    f"product of {len(value)} and {len(f)} terms exceeds the limit "
+                    f"of {MAX_TERMS} terms",
+                    t.line,
+                    t.col,
+                )
             value = f if value is None else value * f
         if value is None:
             t = self._peek()
@@ -184,26 +202,37 @@ class _ExprParser:
         if nxt is not None and nxt.kind == "^":
             self._next()
             et = self._expect("INT")
-            value = value ** int(et.text)
+            e = int(et.text)
+            if e > MAX_EXPONENT:
+                raise ParseError(
+                    f"exponent {e} exceeds the limit of {MAX_EXPONENT}", et.line, et.col
+                )
+            if len(value) > 1 and len(value) ** e > MAX_TERMS:
+                raise ParseError(
+                    f"power {e} of {len(value)} terms exceeds the limit of {MAX_TERMS} terms",
+                    et.line,
+                    et.col,
+                )
+            value = value**e
         return value
 
 
-def _parse_with(text: str, symbols: dict, const: Callable, line: int = 1):
+def _parse_with(text: str, symbols: dict, ctx: PolyRing | FreeAlgebra, line: int = 1):
     tokens = _tokenize(text, line)
-    return _ExprParser(tokens, symbols, const, line).parse()
+    return _ExprParser(tokens, symbols, ctx, line).parse()
 
 
 def parse_nc_poly(text: str, algebra: FreeAlgebra) -> NCPoly:
     """Parse an expression over the algebra's generators and z."""
     names = algebra.letter_names
     symbols = {name: algebra.word((k,)) for k, name in enumerate(names)}
-    return _parse_with(text, symbols, algebra.constant)
+    return _parse_with(text, symbols, algebra)
 
 
 def parse_comm_poly(text: str, ring: PolyRing) -> CommPoly:
     """Parse an expression over the ring's variables."""
     symbols = {name: ring.gen(k) for k, name in enumerate(ring.names)}
-    return _parse_with(text, symbols, ring.constant)
+    return _parse_with(text, symbols, ring)
 
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
@@ -286,7 +315,7 @@ def parse_endo_file(text: str, field: Field | None = None) -> KzEndo:
     images = {n: algebra.zero for n in names}
     for name, rhs, lineno, col0 in body:
         tokens = _tokenize(rhs, lineno, col0)
-        images[name] = _ExprParser(tokens, symbols, algebra.constant, lineno).parse()
+        images[name] = _ExprParser(tokens, symbols, algebra, lineno).parse()
     return KzEndo(algebra, [images[n] for n in names])
 
 
@@ -414,7 +443,7 @@ def parse_transcript(text: str, ring: PolyRing, n: int) -> Transcript:
         if not line:
             continue
         tokens = _tokenize(line, lineno)
-        p = _ExprParser(tokens, symbols, ring.constant, lineno)
+        p = _ExprParser(tokens, symbols, ring, lineno)
         head = p._expect("NAME")
         if head.text == "E":
             i = int(p._expect("INT").text)
@@ -468,7 +497,7 @@ def parse_autofactors(text: str, field: Field):
         if not line:
             continue
         tokens = _tokenize(line, lineno)
-        p = _ExprParser(tokens, symbols, ring.constant, lineno)
+        p = _ExprParser(tokens, symbols, ring, lineno)
         head = p._expect("NAME")
         if head.text == "A":
             i = int(p._expect("INT").text)

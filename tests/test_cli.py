@@ -270,3 +270,15 @@ def test_golden_outputs(capsys, name, argv):
     _, second, _ = run(capsys, *argv)
     assert first == expected
     assert second == expected
+
+
+@pytest.mark.parametrize(
+    "image,where",
+    [("(x + z)^40", "line 2, column 14"), ("x z^10001", "line 2, column 10")],
+)
+def test_input_over_limits_is_a_usage_error(capsys, tmp_path, image, where):
+    path = tmp_path / "huge.endo"
+    path.write_text(f"vars: x y, fixed: z\nx -> {image}\ny -> y\n")
+    code, out, err = run(capsys, "tame", str(path))
+    assert code == EXIT_USAGE and out == ""
+    assert "exceeds the limit" in err and where in err

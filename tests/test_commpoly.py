@@ -215,3 +215,76 @@ def test_canonical_equality_and_hash():
     assert a == b and hash(a) == hash(b)
     assert PAIR.constant(3) == 3
     assert Z1 != Z2
+
+
+def _fold_sum(zero, parts):
+    acc = zero
+    for p in parts:
+        acc = acc + p
+    return acc
+
+
+def _fold_substitute(p, images):
+    target = images[0].ring
+    result = target.zero
+    for mono, c in p.terms():
+        term = target.constant(c)
+        for i, e in enumerate(mono):
+            for _ in range(e):
+                term = term * images[i]
+        result = result + term
+    return result
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)])
+def test_sum_matches_fold(field):
+    rng = random.Random(227)
+    ring = PolyRing(field, ("z1", "z2"))
+    for _ in range(200):
+        parts = [rand_poly(ring, rng) for _ in range(rng.randint(0, 8))]
+        parts += [-p for p in parts if rng.random() < 0.3]
+        rng.shuffle(parts)
+        total = CommPoly.sum(ring, parts)
+        assert total == _fold_sum(ring.zero, parts)
+        assert hash(total) == hash(_fold_sum(ring.zero, parts))
+    assert CommPoly.sum(ring, []) == ring.zero
+    z1, z2 = ring.gens()
+    f = z1 * z2 - 3
+    cancelled = CommPoly.sum(ring, [f, z2, -f, -z2])
+    assert cancelled.is_zero() and cancelled == ring.zero and len(cancelled) == 0
+    assert CommPoly.sum(ring, [z1, PolyRing(field, ("z1", "z2")).gen(1)]) == z1 + z2
+    with pytest.raises(ContextError):
+        CommPoly.sum(ring, [z1, PolyRing(field, ("z",)).gen(0)])
+    with pytest.raises(ContextError):
+        CommPoly.sum(ring, [PolyRing(PrimeField(5), ("z1", "z2")).gen(0)])
+
+
+@pytest.mark.parametrize(
+    "field,coeffs",
+    [(QQ, [-2, Fraction(3, 5)]), (PrimeField(7), [PrimeField(7)(3), PrimeField(7)(6)])],
+)
+def test_single_term_pow_matches_repeated_product(field, coeffs):
+    ring = PolyRing(field, ("z1", "z2"))
+    z1 = ring.gen(0)
+    for c in coeffs:
+        for mono in [(0, 0), (1, 0), (2, 3)]:
+            for base in (ring.term(c, mono), ring.term(c, mono) + z1):
+                power = ring.one
+                for e in range(6):
+                    assert base**e == power
+                    power = power * base
+    assert ring.zero**0 == ring.one and ring.zero**3 == ring.zero
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)])
+def test_substitute_matches_fold(field):
+    rng = random.Random(229)
+    ring = PolyRing(field, ("z1", "z2"))
+    target = PolyRing(field, ("z",))
+    z = target.gen(0)
+    for _ in range(150):
+        p = rand_poly(ring, rng, terms=6)
+        images = [rand_poly(target, rng, deg=2), rand_poly(target, rng, deg=2)]
+        assert p.substitute(images) == _fold_substitute(p, images)
+    z1, z2 = ring.gens()
+    assert (z1 - z2).substitute([z, z]) == target.zero

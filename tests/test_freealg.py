@@ -8,6 +8,7 @@ from freeaut import (
     DomainError,
     FreeAlgebra,
     KzEndo,
+    NCPoly,
     NotXLinearError,
     PrimeField,
     QQ,
@@ -222,3 +223,79 @@ def test_image_count_checked():
 def test_parse_matches_construction():
     f = parse_nc_poly("x + z x z - z^2 y", ALG)
     assert f == X + Z * X * Z - Z**2 * Y
+
+
+def _fold_sum(zero, parts):
+    acc = zero
+    for p in parts:
+        acc = acc + p
+    return acc
+
+
+def _fold_apply(endo, f):
+    alg = endo.algebra
+    letter_images = endo.images + (alg.z(),)
+    result = alg.zero
+    for w, c in f.terms():
+        term = alg.constant(c)
+        for letter in w:
+            term = term * letter_images[letter]
+        result = result + term
+    return result
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)])
+def test_sum_matches_fold(field):
+    rng = random.Random(211)
+    alg = FreeAlgebra(field, ("x", "y"))
+    for _ in range(200):
+        parts = [rand_nc(alg, rng) for _ in range(rng.randint(0, 8))]
+        parts += [-p for p in parts if rng.random() < 0.3]
+        rng.shuffle(parts)
+        total = NCPoly.sum(alg, parts)
+        assert total == _fold_sum(alg.zero, parts)
+        assert hash(total) == hash(_fold_sum(alg.zero, parts))
+    assert NCPoly.sum(alg, []) == alg.zero
+    x, y = alg.gens()
+    f = x * y + alg.z() - 3
+    cancelled = NCPoly.sum(alg, [f, -f, y, -y])
+    assert cancelled.is_zero() and cancelled == alg.zero and len(cancelled) == 0
+    twin = FreeAlgebra(field, ("x", "y"))
+    assert NCPoly.sum(alg, [x, twin.gen(1)]) == x + y
+    with pytest.raises(ContextError):
+        NCPoly.sum(alg, [x, FreeAlgebra(field, ("x", "t")).gen(0)])
+    with pytest.raises(ContextError):
+        NCPoly.sum(alg, [FreeAlgebra(PrimeField(5), ("x", "y")).gen(0)])
+
+
+@pytest.mark.parametrize(
+    "field,coeffs",
+    [(QQ, [-2, Fraction(3, 5)]), (PrimeField(7), [PrimeField(7)(3), PrimeField(7)(6)])],
+)
+def test_single_term_pow_matches_repeated_product(field, coeffs):
+    alg = FreeAlgebra(field, ("x", "y"))
+    x = alg.gen(0)
+    for c in coeffs:
+        for word in [(), (2,), (0, 2, 1, 2)]:
+            for base in (alg.word(word, c), alg.word(word, c) + x):
+                power = alg.one
+                for e in range(6):
+                    assert base**e == power
+                    power = power * base
+    assert alg.zero**0 == alg.one and alg.zero**3 == alg.zero
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)])
+def test_apply_matches_fold(field):
+    rng = random.Random(223)
+    alg = FreeAlgebra(field, ("x", "y"))
+    for _ in range(150):
+        phi = KzEndo(alg, [rand_nc(alg, rng, terms=3) for _ in range(2)])
+        f = rand_nc(alg, rng, terms=6)
+        assert phi.apply(f) == _fold_apply(phi, f)
+    x, y = alg.gens()
+    z = alg.z()
+    phi = KzEndo(alg, (x + z * y * z, y))
+    assert phi.apply(x - z * y * z) == x
+    with pytest.raises(ContextError):
+        phi.apply(FreeAlgebra(field, ("x", "t")).gen(0))

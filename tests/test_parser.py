@@ -10,6 +10,7 @@ from freeaut import (
     ElemAuto,
     FreeAlgebra,
     KzEndo,
+    NCPoly,
     ParseError,
     PolyMatrix,
     PolyRing,
@@ -35,7 +36,8 @@ from freeaut import (
     parse_transcript,
     stable_tame,
 )
-from support import rand_nc, rand_poly, rand_transcript
+from freeaut.parser import MAX_EXPONENT, MAX_TERMS
+from support import rand_nc, rand_poly, rand_scalar, rand_transcript, rand_word
 
 DATA = Path(__file__).parent / "data"
 ALG = FreeAlgebra(QQ, ("x", "y"))
@@ -334,3 +336,69 @@ def test_autofactor_parse_errors():
         parse_autofactors("A 1 2 (z)", QQ)
     with pytest.raises(ParseError):
         parse_autofactors("B 1 2 (z) (z)", QQ)
+
+
+@pytest.fixture
+def built_terms(monkeypatch):
+    """Term counts of every NCPoly constructed while the test runs."""
+    counts = []
+    init = NCPoly.__init__
+
+    def counting_init(self, algebra, terms):
+        counts.append(len(terms))
+        init(self, algebra, terms)
+
+    monkeypatch.setattr(NCPoly, "__init__", counting_init)
+    return counts
+
+
+def test_format_parse_round_trip_large_images():
+    rng = random.Random(179)
+    for field in (QQ, PrimeField(7)):
+        alg = FreeAlgebra(field, ("x", "y"))
+        for _ in range(4):
+            terms = {}
+            for _ in range(600):
+                terms[rand_word(alg, rng, maxlen=9)] = rand_scalar(field, rng, nonzero=True)
+            f = NCPoly(alg, terms)
+            assert len(f) >= 300
+            assert parse_nc_poly(format_nc_poly(f), alg) == f
+            assert parse_nc_poly(f"{format_nc_poly(f)} - ({format_nc_poly(f)})", alg) == alg.zero
+
+
+def test_parse_builds_terms_linearly(built_terms):
+    def volume(count):
+        body = " + ".join(f"{k + 1} z^{k} x z" for k in range(count))
+        built_terms.clear()
+        endo = parse_endo_file(f"vars: x y, fixed: z\nx -> {body}\ny -> y\n")
+        assert len(endo.images[0]) == count
+        return sum(built_terms)
+
+    assert volume(400) / volume(200) <= 2.5
+
+
+def test_power_over_term_limit_rejected_before_expanding(built_terms):
+    with pytest.raises(ParseError) as exc:
+        nc("(x + z)^40")
+    assert "exceeds the limit" in str(exc.value)
+    assert (exc.value.line, exc.value.col) == (1, 9)
+    assert max(built_terms) <= 2
+    with pytest.raises(ParseError) as exc:
+        nc("x + (x + y)^9 (y + z)^9")
+    assert exc.value.col == 15
+    assert max(built_terms) <= 2**9
+    with pytest.raises(ParseError):
+        parse_comm_poly("(z1 + z2)^17", PAIR)
+    assert len(nc("(x + y)^8 (y + z)^4")) == 2**12
+
+
+def test_exponent_limit():
+    with pytest.raises(ParseError) as exc:
+        nc(f"x + z^{MAX_EXPONENT + 1}")
+    assert (exc.value.line, exc.value.col) == (1, 7)
+    assert "exponent 10001" in str(exc.value)
+    with pytest.raises(ParseError) as exc:
+        parse_comm_poly(f"z1^{MAX_EXPONENT + 1}", PAIR)
+    assert exc.value.col == 4
+    assert nc(f"z^{MAX_EXPONENT}") == ALG.word((2,) * MAX_EXPONENT)
+    assert MAX_EXPONENT == 10_000 and MAX_TERMS == 100_000
