@@ -34,7 +34,7 @@ from .matgroup import (
     is_gl,
     stabilize3,
 )
-from .scalars import QQ, FpElement
+from .scalars import QQ
 
 
 @dataclass(frozen=True)
@@ -91,13 +91,7 @@ class ScaleAuto:
         )
 
     def inverse(self) -> "ScaleAuto":
-        inv = []
-        for u in self.units:
-            if isinstance(u, FpElement):
-                inv.append(u.inverse())
-            else:
-                inv.append(Fraction(1) / Fraction(u))
-        return ScaleAuto(tuple(inv))
+        return ScaleAuto(tuple(_unit_inverse(u) for u in self.units))
 
 
 @dataclass(frozen=True)
@@ -167,7 +161,7 @@ class TameVerdict:
 
     kind is one of "tame" (factors compose to the input), "wild" (witness is
     the stuck reduction state), or "tame_by_theorem" (three or more
-    generators: tameness is guaranteed, but the bounded search found no
+    generators: tameness is guaranteed, but the reduction got stuck before an
     explicit factorization).  A tame verdict also carries the Jacobian
     transcript its factors were expanded from.
     """
@@ -204,12 +198,12 @@ def is_automorphism_linear(endo: KzEndo) -> bool:
 def is_tame(endo: KzEndo, order: MonomialOrder | None = None) -> TameVerdict:
     """Decide tameness of an x-linear automorphism.
 
-    With two generators this is a complete decision via first-column
-    elimination on the Jacobian, whose end state also proves or refutes
-    invertibility.  With three or more the answer is always tame; a bounded
-    elimination searches for an explicit factor list and reports
-    tame_by_theorem when it finds none.  Raises NotInvertibleError when the
-    endomorphism is not an automorphism.
+    One leading-term reduction of the Jacobian (matgroup._reduce) decides
+    it, and its end state also proves or refutes invertibility for every
+    number of generators.  With two it is a complete decision: stuck means
+    wild.  With three or more the answer is always tame (Suslin); a stuck
+    reduction is reported as tame_by_theorem, without explicit factors.
+    Raises NotInvertibleError when the endomorphism is not an automorphism.
     """
     jac = jacobian_linear(endo)
     if order is None:
@@ -219,10 +213,6 @@ def is_tame(endo: KzEndo, order: MonomialOrder | None = None) -> TameVerdict:
         if isinstance(res, Tame):
             return TameVerdict.tame(res.transcript)
         return TameVerdict.wild(res.witness)
-    # The bounded elimination gives up the same way on a singular matrix as
-    # on one it is merely stuck on, so invertibility is settled beforehand.
-    if not is_gl(jac):
-        raise NotInvertibleError("endomorphism is not an automorphism")
     t = _eliminate(jac, order)
     if t is None:
         return TameVerdict.by_theorem()
@@ -240,7 +230,7 @@ def invert_linear(endo: KzEndo) -> KzEndo:
     d = jac.det()
     if not _is_unit(d):
         raise NotInvertibleError("endomorphism is not an automorphism")
-    dinv = _unit_inverse(endo.algebra.field, d.constant_value())
+    dinv = _unit_inverse(d.constant_value())
     adj = jac.adjugate()
     inv = adj.map_entries(adj.ring, lambda p: p.scale(dinv))
     return matrix_to_endo(inv, endo.algebra)

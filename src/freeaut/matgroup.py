@@ -1,7 +1,8 @@
 """Square matrices over commutative polynomial rings and the decomposition
-procedures on them: determinant/invertibility, the two-variable elementary
-decomposition decision, the always-successful univariate decomposition, and
-stabilization of 2x2 matrices inside the 3x3 group.
+procedures on them: determinant/invertibility, one row reduction (_reduce)
+behind the two-variable elementary decomposition decision, the
+always-successful univariate decomposition and the n x n tameness search,
+and stabilization of 2x2 matrices inside the 3x3 group.
 
 A transcript certifies a decomposition: the certified matrix equals the
 left-to-right product of its factor matrices, checkable by verify_transcript.
@@ -13,7 +14,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Sequence, Union
 
-from .commpoly import CommPoly, MonomialOrder, PolyRing, poly_divmod, poly_sqrt, term_divide
+from .commpoly import (
+    CommPoly,
+    MonomialOrder,
+    PolyRing,
+    Term,
+    poly_divmod,
+    poly_sqrt,
+    term_divide,
+)
 from .errors import ContextError, DomainError, NotInvertibleError
 from .scalars import FpElement, Scalar
 
@@ -282,13 +291,7 @@ class Diag:
         return PolyMatrix(ring, m)
 
     def inverse(self) -> "Diag":
-        inv = []
-        for u in self.units:
-            if isinstance(u, FpElement):
-                inv.append(u.inverse())
-            else:
-                inv.append(Fraction(1) / Fraction(u))
-        return Diag(tuple(inv))
+        return Diag(tuple(_unit_inverse(u) for u in self.units))
 
 
 @dataclass(frozen=True)
@@ -428,119 +431,148 @@ class Tame:
 
 @dataclass(frozen=True)
 class Wild:
-    """Reduction stuck: in the witness's first column the two nonzero
-    entries have mutually indivisible leading monomials."""
+    """Reduction stuck: in the witness's first unfinished column, no leading
+    monomial of a nonzero entry at or below the diagonal divides another."""
 
     witness: PolyMatrix
 
 
-def _unit_inverse(field, c: Scalar) -> Scalar:
+def _unit_inverse(c: Scalar) -> Scalar:
     if isinstance(c, FpElement):
         return c.inverse()
     return Fraction(1) / Fraction(c)
 
 
-def _finish_triangular(
-    ring: PolyRing, recorded: list, current: list
-) -> Transcript:
-    """Decompose [[a, b], [0, d]] as one Elem and one Diag factor appended to
-    the recorded prefix.
+# A quotient rule: given pivot-column entries a and b whose leading monomials
+# satisfy lm(b) | lm(a), and the quotient t of their leading terms, the
+# multiplier q for "row of a -= q * row of b".  It must make the new entry
+# a - q b lower than a in the monomial order.
+QuotientRule = Callable[[CommPoly, CommPoly, Term], CommPoly]
 
-    The determinant a d is a unit exactly when a and d both are, so any other
-    diagonal proves the input singular and raises NotInvertibleError.
+
+def _leading_quotient(a: CommPoly, b: CommPoly, t: Term) -> CommPoly:
+    """Cancel only the leading term: the Gaussian step of the GE_2 decision."""
+    return a.ring.term(*t)
+
+
+def _euclid_quotient(a: CommPoly, b: CommPoly, t: Term) -> CommPoly:
+    """The full Euclidean quotient over K[z]: the new entry is a mod b."""
+    return poly_divmod(a, b)[0]
+
+
+def _reduce(m: PolyMatrix, order: MonomialOrder, step: QuotientRule) -> Union[Tame, Wild]:
+    """Row-reduce m to the identity, recording the factors; the one
+    reduction behind ge2_decide, gl2_univariate_decompose and _eliminate.
+
+    Pair rule: column by column, while two or more entries at or below the
+    diagonal are nonzero, the row r1 with the largest leading monomial is
+    reduced by the first row r2, smallest leading monomial first, whose
+    leading monomial divides its own; ties go to the upper row in both
+    roles.  step chooses the multiplier q and Elem(r1, r2, q) is recorded.
+    Each step strictly lowers one leading monomial in a well-order, so the
+    loop ends.
+    The last nonzero entry is swapped onto the diagonal (Swap), the upper
+    triangle is cleared by back substitution (Elem), and Diag records the
+    diagonal when any unit differs from 1.
+
+    End states settle invertibility, since every row operation keeps the
+    determinant up to sign and a finished column has a fixed pivot:
+
+    - a finished column whose pivot is zero (the column was zero at and
+      below the diagonal) or non-constant makes the determinant a non-unit,
+      and NotInvertibleError is raised;
+    - all pivots constant: the recorded factors are the Tame certificate;
+    - stuck, no leading monomial dividing another: the stuck matrix has
+      determinant +-det(m), so it is returned as a Wild witness when that
+      is a unit and NotInvertibleError is raised otherwise.
     """
-    if not (_is_unit(current[0][0]) and _is_unit(current[1][1])):
-        raise NotInvertibleError("matrix determinant is not a nonzero constant")
+    ring = m.ring
+    n = m.n
+    current = [list(row) for row in m.entries]
+    recorded: list = []
+    for col in range(n):
+        while True:
+            lead = {
+                r: current[r][col].leading_term(order)
+                for r in range(col, n)
+                if current[r][col]
+            }
+            if len(lead) <= 1:
+                break
+            # Stable sorts: equal leading monomials keep the upper row first.
+            keys = {r: order.key(mono) for r, (_, mono) in lead.items()}
+            rising = sorted(lead, key=keys.__getitem__)
+            falling = sorted(lead, key=keys.__getitem__, reverse=True)
+            pair = next(
+                (
+                    (r1, r2, q)
+                    for r1 in falling
+                    for r2 in rising
+                    if r1 != r2 and (q := term_divide(lead[r1], lead[r2])) is not None
+                ),
+                None,
+            )
+            if pair is None:
+                witness = PolyMatrix(ring, current)
+                if not is_gl(witness):
+                    raise NotInvertibleError("matrix determinant is not a nonzero constant")
+                return Wild(witness)
+            r1, r2, q = pair
+            qp = step(current[r1][col], current[r2][col], q)
+            current[r1] = [current[r1][k] - qp * current[r2][k] for k in range(n)]
+            recorded.append(Elem(r1 + 1, r2 + 1, qp))
+        for r in lead:
+            if r != col:
+                recorded.append(Swap(col + 1, r + 1))
+                current[col], current[r] = current[r], current[col]
+        if not _is_unit(current[col][col]):
+            raise NotInvertibleError("matrix determinant is not a nonzero constant")
     field = ring.field
-    a = current[0][0].constant_value()
-    d = current[1][1].constant_value()
-    b = current[0][1]
-    if not b.is_zero():
-        recorded.append(Elem(1, 2, b.scale(_unit_inverse(field, d))))
-    if a != field.one or d != field.one:
-        recorded.append(Diag((a, d)))
-    return Transcript(ring, 2, tuple(recorded))
+    units = [current[k][k].constant_value() for k in range(n)]
+    for col in range(1, n):
+        dinv = _unit_inverse(units[col])
+        for r in range(col):
+            e = current[r][col]
+            if e.is_zero():
+                continue
+            q = e.scale(dinv)
+            # Row col is zero left of the diagonal and the step clears
+            # entry (r, col), so only the entries right of col change.
+            for k in range(col + 1, n):
+                current[r][k] = current[r][k] - q * current[col][k]
+            recorded.append(Elem(r + 1, col + 1, q))
+    if any(u != field.one for u in units):
+        recorded.append(Diag(tuple(units)))
+    return Tame(Transcript(ring, n, tuple(recorded)))
 
 
 def ge2_decide(m: PolyMatrix, order: MonomialOrder) -> Union[Tame, Wild]:
     """Decide membership in the subgroup generated by elementary and
-    diagonal 2x2 matrices, by leading-term elimination on the first column.
+    diagonal 2x2 matrices, by leading-term reduction (_reduce with
+    _leading_quotient).
 
-    Each division step cancels exactly the leading term of one column entry,
-    strictly decreasing it in the well-founded monomial order, so the loop
-    terminates, and its end state settles invertibility too:
-
-    - triangular with a constant diagonal: the recorded factors are the Tame
-      certificate, which proves the input invertible;
-    - triangular with a non-constant diagonal: the input is singular and
-      NotInvertibleError is raised;
-    - stuck, neither first-column leading monomial dividing the other: the
-      stuck matrix has determinant +-det(m), so it is returned as a Wild
-      witness when that is a unit and NotInvertibleError is raised otherwise.
+    The end state also settles invertibility: a Tame certificate proves the
+    input invertible, a Wild witness is an invertible stuck matrix, and a
+    singular input raises NotInvertibleError.
     """
     if m.n != 2:
         raise ContextError("the elementary-decomposition decision is for 2x2 matrices")
-    ring = m.ring
-    recorded: list = []
-    current = [list(row) for row in m.entries]
-    while True:
-        a, c = current[0][0], current[1][0]
-        if c.is_zero():
-            return Tame(_finish_triangular(ring, recorded, current))
-        if a.is_zero():
-            recorded.append(Swap(1, 2))
-            current = [current[1], current[0]]
-            continue
-        q = term_divide(a.leading_term(order), c.leading_term(order))
-        if q is not None:
-            qp = ring.term(*q)
-            current[0] = [current[0][k] - qp * current[1][k] for k in range(2)]
-            recorded.append(Elem(1, 2, qp))
-            continue
-        q = term_divide(c.leading_term(order), a.leading_term(order))
-        if q is not None:
-            qp = ring.term(*q)
-            current[1] = [current[1][k] - qp * current[0][k] for k in range(2)]
-            recorded.append(Elem(2, 1, qp))
-            continue
-        witness = PolyMatrix(ring, current)
-        if not is_gl(witness):
-            raise NotInvertibleError("matrix determinant is not a nonzero constant")
-        return Wild(witness)
+    return _reduce(m, order, _leading_quotient)
 
 
 def gl2_univariate_decompose(m: PolyMatrix) -> Transcript:
-    """Decompose an invertible 2x2 matrix over K[z] by Euclidean division.
+    """Decompose an invertible 2x2 matrix over K[z] by Euclidean division
+    (_reduce with _euclid_quotient).
 
-    K[z] is a principal ideal domain, so full-quotient division on the first
-    column always reaches a triangular matrix and never gets stuck.  That end
-    state decides invertibility: with a constant diagonal the recorded
-    factors are the transcript, with a non-constant one the input is singular
-    and NotInvertibleError is raised.
+    Over K[z] of two nonzero leading monomials one always divides the
+    other, so the reduction never gets stuck: it returns the transcript,
+    or raises NotInvertibleError on a singular input.
     """
     if m.n != 2:
         raise ContextError("univariate decomposition is for 2x2 matrices")
     if m.ring.nvars != 1:
         raise ContextError("expected a matrix over a univariate ring")
-    ring = m.ring
-    recorded: list = []
-    current = [list(row) for row in m.entries]
-    while True:
-        a, c = current[0][0], current[1][0]
-        if c.is_zero():
-            return _finish_triangular(ring, recorded, current)
-        if a.is_zero():
-            recorded.append(Swap(1, 2))
-            current = [current[1], current[0]]
-            continue
-        if a.total_degree() >= c.total_degree():
-            q, _ = poly_divmod(a, c)
-            current[0] = [current[0][k] - q * current[1][k] for k in range(2)]
-            recorded.append(Elem(1, 2, q))
-        else:
-            q, _ = poly_divmod(c, a)
-            current[1] = [current[1][k] - q * current[0][k] for k in range(2)]
-            recorded.append(Elem(2, 1, q))
+    return _reduce(m, MonomialOrder.deglex(1), _euclid_quotient).transcript
 
 
 def cohn_family(a: CommPoly, b: CommPoly) -> PolyMatrix:
@@ -593,78 +625,18 @@ def _cohn_parameters(m: PolyMatrix) -> tuple[CommPoly, CommPoly] | None:
     return None
 
 
-def _eliminate(
-    m: PolyMatrix, order: MonomialOrder, max_steps: int = 2000
-) -> Transcript | None:
-    """Bounded greedy elimination of an invertible n x n matrix to the
-    identity, recording factors; returns None when stuck.
+def _eliminate(m: PolyMatrix, order: MonomialOrder) -> Transcript | None:
+    """A verified elementary factorization of an invertible n x n matrix by
+    leading-term reduction (_reduce), or None when the reduction gets stuck.
 
-    Complete over a univariate ring; over several variables it is a
-    heuristic that can fail even on decomposable input.
+    Complete over a univariate ring; over several variables it can get stuck
+    on decomposable input, which for n >= 3 is still tame by Suslin's
+    theorem.  Raises NotInvertibleError on a singular matrix.
     """
-    ring = m.ring
-    n = m.n
-    current = [list(row) for row in m.entries]
-    recorded: list = []
-    steps = 0
-    for col in range(n):
-        while True:
-            steps += 1
-            if steps > max_steps:
-                return None
-            nz = [r for r in range(col, n) if not current[r][col].is_zero()]
-            if not nz:
-                return None
-            if len(nz) == 1:
-                r = nz[0]
-                if r != col:
-                    recorded.append(Swap(col + 1, r + 1))
-                    current[col], current[r] = current[r], current[col]
-                break
-            progressed = False
-            ranked = sorted(
-                nz, key=lambda r: order.key(current[r][col].leading_term(order)[1])
-            )
-            for r1 in reversed(ranked):
-                for r2 in ranked:
-                    if r1 == r2:
-                        continue
-                    q = term_divide(
-                        current[r1][col].leading_term(order),
-                        current[r2][col].leading_term(order),
-                    )
-                    if q is None:
-                        continue
-                    qp = ring.term(*q)
-                    current[r1] = [
-                        current[r1][k] - qp * current[r2][k] for k in range(n)
-                    ]
-                    recorded.append(Elem(r1 + 1, r2 + 1, qp))
-                    progressed = True
-                    break
-                if progressed:
-                    break
-            if not progressed:
-                return None
-    field = ring.field
-    units = []
-    for k in range(n):
-        d = current[k][k]
-        if not _is_unit(d):
-            return None
-        units.append(d.constant_value())
-    for col in range(1, n):
-        dinv = _unit_inverse(field, units[col])
-        for r in range(col):
-            e = current[r][col]
-            if e.is_zero():
-                continue
-            q = e.scale(dinv)
-            current[r] = [current[r][k] - q * current[col][k] for k in range(n)]
-            recorded.append(Elem(r + 1, col + 1, q))
-    if any(u != field.one for u in units):
-        recorded.append(Diag(tuple(units)))
-    t = Transcript(ring, n, tuple(recorded))
+    res = _reduce(m, order, _leading_quotient)
+    if isinstance(res, Wild):
+        return None
+    t = res.transcript
     return t if verify_transcript(t, m) else None
 
 
@@ -672,9 +644,11 @@ def stabilize3(m: PolyMatrix) -> Transcript | None:
     """A 3x3 transcript for diag(m, 1), or None when no certificate is found.
 
     Tries, in order: the [[1+ab, b^2], [-a^2, 1-ab]] family via the explicit
-    eight-factor identity, an ordinary 2x2 decomposition embedded into size
-    3, and bounded 3x3 elimination.  A singular input is never in the family,
-    so the 2x2 decision raises NotInvertibleError on it.
+    eight-factor identity, then an ordinary 2x2 decomposition embedded into
+    size 3.  A singular input is never in the family, so the 2x2 decision
+    raises NotInvertibleError on it.  Reducing diag(m, 1) itself adds
+    nothing: its third row is zero in the first column, so the reduction
+    repeats ge2_decide's steps and gets stuck where it does.
     """
     if m.n != 2:
         raise ContextError("stabilization applies to 2x2 matrices")
@@ -693,4 +667,4 @@ def stabilize3(m: PolyMatrix) -> Transcript | None:
         t = res.transcript.embed(3)
         if verify_transcript(t, target):
             return t
-    return _eliminate(target, order)
+    return None

@@ -19,9 +19,13 @@ Input limits: parsing expands products and powers, so an expression can
 name far more terms than it has characters.  An exponent above
 MAX_EXPONENT is rejected, and so is a product or power whose term bound
 (len(a)*len(b) for a product, len(base)^e for a power of a base with more
-than one term) exceeds MAX_TERMS; both are checked before expanding and
-raise ParseError at the offending token.  The limits bound parsed input
-only; arithmetic on library values is unbounded.
+than one term) exceeds MAX_TERMS.  A power base^e is also rejected when
+e * degree(base) (word length or total degree) exceeds MAX_EXPONENT, or
+when e times the bit length of its largest rational numerator or
+denominator exceeds MAX_COEFF_BITS, so nested powers such as
+(z^10000)^3 or ((2)^100)^100 cannot grow without bound.  All limits are
+checked before expanding and raise ParseError at the offending token.  The
+limits bound parsed input only; arithmetic on library values is unbounded.
 """
 
 from __future__ import annotations
@@ -47,6 +51,7 @@ _TOKEN_RE = re.compile(
 
 MAX_EXPONENT = 10_000
 MAX_TERMS = 100_000
+MAX_COEFF_BITS = 10_000
 
 
 class _Token:
@@ -213,8 +218,35 @@ class _ExprParser:
                     et.line,
                     et.col,
                 )
+            degree, bits = _degree_and_bits(value)
+            if degree * e > MAX_EXPONENT:
+                raise ParseError(
+                    f"power {e} of degree {degree} has degree {degree * e}, which exceeds "
+                    f"the limit of {MAX_EXPONENT}",
+                    et.line,
+                    et.col,
+                )
+            if bits * e > MAX_COEFF_BITS:
+                raise ParseError(
+                    f"power {e} of {bits}-bit coefficients needs up to {bits * e} bits, "
+                    f"which exceeds the limit of {MAX_COEFF_BITS}",
+                    et.line,
+                    et.col,
+                )
             value = value**e
         return value
+
+
+def _degree_and_bits(value: NCPoly | CommPoly) -> tuple[int, int]:
+    """The largest word length or total degree of the terms of value, and
+    the largest bit length of a numerator or denominator among its rational
+    coefficients (prime-field coefficients never grow, so they count 0)."""
+    degree = bits = 0
+    for key, c in value.terms():
+        degree = max(degree, len(key) if isinstance(value, NCPoly) else sum(key))
+        if isinstance(c, Fraction):
+            bits = max(bits, c.numerator.bit_length(), c.denominator.bit_length())
+    return degree, bits
 
 
 def _parse_with(text: str, symbols: dict, ctx: PolyRing | FreeAlgebra, line: int = 1):

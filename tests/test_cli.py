@@ -274,7 +274,12 @@ def test_golden_outputs(capsys, name, argv):
 
 @pytest.mark.parametrize(
     "image,where",
-    [("(x + z)^40", "line 2, column 14"), ("x z^10001", "line 2, column 10")],
+    [
+        ("(x + z)^40", "line 2, column 14"),
+        ("x z^10001", "line 2, column 10"),
+        ("x (z^10000)^3", "line 2, column 18"),
+        ("x + ((2)^100)^100", "line 2, column 20"),
+    ],
 )
 def test_input_over_limits_is_a_usage_error(capsys, tmp_path, image, where):
     path = tmp_path / "huge.endo"

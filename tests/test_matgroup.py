@@ -21,6 +21,7 @@ from freeaut import (
     Wild,
     cohn_family,
     cohn_matrix,
+    default_xnames,
     det,
     ge2_decide,
     gl2_univariate_decompose,
@@ -29,10 +30,12 @@ from freeaut import (
     jacobian_linear,
     matrix_to_endo,
     mennicke_factors,
+    poly_divmod,
     stabilize3,
     term_divide,
     verify_transcript,
 )
+from freeaut.matgroup import _cohn_parameters, _eliminate
 from support import (
     rand_automorphism,
     rand_linear_endo,
@@ -526,3 +529,280 @@ def test_det_and_adjugate_of_structured_matrices():
         upper = PolyMatrix(PAIR, [[Z2 + c if c >= r else 0 for c in range(n)] for r in range(n)])
         assert det(upper) == cofactor_det(upper)
         assert upper.adjugate() == cofactor_adjugate(upper)
+
+
+# -- n >= 3: the reduction's end state decides invertibility --
+
+
+def singular3(ring):
+    """Singular 3x3 matrices, one per way the reduction proves singularity:
+    column 2 is zero at and below the diagonal once column 1 is finished;
+    the pivot of column 2 is z1 after row 2 loses z2 times row 1; and the
+    first column gets stuck on z1 against z2 (det z1^2 - z2^2)."""
+    z1, z2 = ring.gens()
+    return [
+        PolyMatrix(ring, [[1, z1, z2], [0, 0, 1], [0, 0, z1]]),
+        PolyMatrix(ring, [[1, 0, 0], [z2, z1, 0], [0, 0, 1]]),
+        PolyMatrix(ring, [[z1, z2, 0], [z2, z1, 0], [0, 0, 1]]),
+    ]
+
+
+def test_is_tame_raises_exactly_on_singular_input_for_three_and_four_generators():
+    rng = random.Random(139)
+    seen = set()
+    for field in (QQ, PrimeField(7)):
+        ring = PolyRing(field, ("z1", "z2"))
+        for n in (3, 4):
+            alg = FreeAlgebra(field, default_xnames(n))
+            # diag(Cohn, 1, ...) is invertible and stuck in the first column.
+            jacs = [m.embed(n) for m in singular3(ring) + [cohn_matrix(field)]]
+            for _ in range(12):
+                jac = jacobian_linear(rand_automorphism(alg, rng, max_factors=5))
+                jacs.append(jac)
+                rows = [list(row) for row in jac.entries]
+                i, j = rng.randrange(n), rng.randrange(n)
+                rows[i][j] = rows[i][j] + rand_poly(ring, rng, deg=2, terms=1, nonzero=True)
+                jacs.append(PolyMatrix(ring, rows))
+            for m in jacs:
+                endo = matrix_to_endo(m, alg)
+                try:
+                    verdict = is_tame(endo)
+                except NotInvertibleError:
+                    assert not is_gl(m)
+                    seen.add("not_automorphism")
+                    continue
+                assert is_gl(m)
+                assert verdict.kind in ("tame", "tame_by_theorem")
+                if verdict.kind == "tame":
+                    assert verify_transcript(verdict.transcript, m)
+                seen.add(verdict.kind)
+    assert seen == {"tame", "tame_by_theorem", "not_automorphism"}
+
+
+# -- reference oracles: the separate 2x2 loops and the step-bounded n x n
+# elimination that _reduce replaced, against which its factors are pinned --
+
+
+def oracle_finish_triangular(ring, recorded, current):
+    a, b, d = current[0][0], current[0][1], current[1][1]
+    if not (a.is_constant() and a and d.is_constant() and d):
+        raise NotInvertibleError("matrix determinant is not a nonzero constant")
+    field = ring.field
+    a, d = a.constant_value(), d.constant_value()
+    if not b.is_zero():
+        recorded.append(Elem(1, 2, b.scale(field.one / d)))
+    if a != field.one or d != field.one:
+        recorded.append(Diag((a, d)))
+    return Transcript(ring, 2, tuple(recorded))
+
+
+def oracle_ge2_decide(m, order):
+    ring = m.ring
+    recorded = []
+    current = [list(row) for row in m.entries]
+    while True:
+        a, c = current[0][0], current[1][0]
+        if c.is_zero():
+            return Tame(oracle_finish_triangular(ring, recorded, current))
+        if a.is_zero():
+            recorded.append(Swap(1, 2))
+            current = [current[1], current[0]]
+            continue
+        q = term_divide(a.leading_term(order), c.leading_term(order))
+        if q is not None:
+            qp = ring.term(*q)
+            current[0] = [current[0][k] - qp * current[1][k] for k in range(2)]
+            recorded.append(Elem(1, 2, qp))
+            continue
+        q = term_divide(c.leading_term(order), a.leading_term(order))
+        if q is not None:
+            qp = ring.term(*q)
+            current[1] = [current[1][k] - qp * current[0][k] for k in range(2)]
+            recorded.append(Elem(2, 1, qp))
+            continue
+        witness = PolyMatrix(ring, current)
+        if not is_gl(witness):
+            raise NotInvertibleError("matrix determinant is not a nonzero constant")
+        return Wild(witness)
+
+
+def oracle_univariate_decompose(m):
+    ring = m.ring
+    recorded = []
+    current = [list(row) for row in m.entries]
+    while True:
+        a, c = current[0][0], current[1][0]
+        if c.is_zero():
+            return oracle_finish_triangular(ring, recorded, current)
+        if a.is_zero():
+            recorded.append(Swap(1, 2))
+            current = [current[1], current[0]]
+            continue
+        if a.total_degree() >= c.total_degree():
+            q, _ = poly_divmod(a, c)
+            current[0] = [current[0][k] - q * current[1][k] for k in range(2)]
+            recorded.append(Elem(1, 2, q))
+        else:
+            q, _ = poly_divmod(c, a)
+            current[1] = [current[1][k] - q * current[0][k] for k in range(2)]
+            recorded.append(Elem(2, 1, q))
+
+
+def oracle_bounded_eliminate(m, order, max_steps=2000):
+    """The step-bounded greedy n x n elimination stabilize3 fell back on."""
+    ring, n = m.ring, m.n
+    current = [list(row) for row in m.entries]
+    recorded = []
+    steps = 0
+    for col in range(n):
+        while True:
+            steps += 1
+            if steps > max_steps:
+                return None
+            nz = [r for r in range(col, n) if not current[r][col].is_zero()]
+            if not nz:
+                return None
+            if len(nz) == 1:
+                r = nz[0]
+                if r != col:
+                    recorded.append(Swap(col + 1, r + 1))
+                    current[col], current[r] = current[r], current[col]
+                break
+            ranked = sorted(nz, key=lambda r: order.key(current[r][col].leading_term(order)[1]))
+            pair = next(
+                (
+                    (r1, r2, q)
+                    for r1 in reversed(ranked)
+                    for r2 in ranked
+                    if r1 != r2
+                    and (
+                        q := term_divide(
+                            current[r1][col].leading_term(order),
+                            current[r2][col].leading_term(order),
+                        )
+                    )
+                    is not None
+                ),
+                None,
+            )
+            if pair is None:
+                return None
+            r1, r2, q = pair
+            qp = ring.term(*q)
+            current[r1] = [current[r1][k] - qp * current[r2][k] for k in range(n)]
+            recorded.append(Elem(r1 + 1, r2 + 1, qp))
+    field = ring.field
+    if not all(current[k][k].is_constant() and current[k][k] for k in range(n)):
+        return None
+    units = [current[k][k].constant_value() for k in range(n)]
+    for col in range(1, n):
+        for r in range(col):
+            e = current[r][col]
+            if e:
+                q = e.scale(field.one / units[col])
+                current[r] = [current[r][k] - q * current[col][k] for k in range(n)]
+                recorded.append(Elem(r + 1, col + 1, q))
+    if any(u != field.one for u in units):
+        recorded.append(Diag(tuple(units)))
+    t = Transcript(ring, n, tuple(recorded))
+    return t if verify_transcript(t, m) else None
+
+
+def oracle_stabilize3(m):
+    ring = m.ring
+    target = m.embed(3)
+    if m.is_identity():
+        return Transcript(ring, 3, ())
+    params = _cohn_parameters(m)
+    if params is not None:
+        t = Transcript(ring, 3, mennicke_factors(*params))
+        if verify_transcript(t, target):
+            return t
+    order = MonomialOrder.deglex(ring.nvars)
+    res = oracle_ge2_decide(m, order)
+    if isinstance(res, Tame):
+        t = res.transcript.embed(3)
+        if verify_transcript(t, target):
+            return t
+    return oracle_bounded_eliminate(target, order)
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except NotInvertibleError:
+        return NotInvertibleError
+
+
+def pair_matrices(field, rng):
+    """Seeded 2x2 matrices over field[z1, z2]: elementary products, random
+    (mostly singular) matrices, tame * Cohn * tame products, first-column
+    ties and stuck singular inputs."""
+    ring = PolyRing(field, ("z1", "z2"))
+    z1, z2 = ring.gens()
+    cohn = cohn_matrix(field)
+    mats = [
+        # Equal leading monomials in the first column, invertible and singular.
+        PolyMatrix(ring, [[z1 + 1, 1], [z1, 1]]),
+        PolyMatrix(ring, [[z1 * z2 + z2, z1 + 2], [z1 * z2, z1 + 1]]),
+        PolyMatrix(ring, [[z1 * z2 + z1, z2 + 1], [z1 * z2, z2]]),
+        PolyMatrix(ring, [[z1, z2], [z2, z1]]),
+        PolyMatrix(ring, [[1 + z1 * z2, z2**2], [z1**2, 1 - z1 * z2]]),
+        cohn,
+    ]
+    for _ in range(25):
+        mats.append(rand_transcript(ring, rng, max_factors=6, deg=2).product())
+        mats.append(
+            PolyMatrix(ring, [[rand_poly(ring, rng, deg=2, terms=2) for _ in range(2)] for _ in range(2)])
+        )
+        left = rand_transcript(ring, rng, max_factors=3, deg=2).product()
+        right = rand_transcript(ring, rng, max_factors=3, deg=2).product()
+        mats.append(left * cohn * right)
+    return mats
+
+
+def test_ge2_decide_and_stabilize3_match_the_oracles():
+    rng = random.Random(149)
+    for field in (QQ, PrimeField(7)):
+        mats = pair_matrices(field, rng)
+        verdicts = set()
+        for m in mats:
+            for order in ALL_ORDERS:
+                res = outcome(ge2_decide, m, order)
+                assert res == outcome(oracle_ge2_decide, m, order)
+                verdicts.add(res if res is NotInvertibleError else type(res))
+            assert outcome(stabilize3, m) == outcome(oracle_stabilize3, m)
+        assert verdicts == {Tame, Wild, NotInvertibleError}
+
+
+def test_univariate_decompose_matches_the_oracle():
+    rng = random.Random(151)
+    for field in (QQ, PrimeField(7)):
+        ring = PolyRing(field, ("z",))
+        z = ring.gen(0)
+        # First-column tie (equal degrees), invertible and singular.
+        mats = [PolyMatrix(ring, [[z + 1, 1], [z, 1]]), PolyMatrix(ring, [[z, z], [z + 1, z]])]
+        for _ in range(40):
+            mats.append(rand_transcript(ring, rng, max_factors=6, deg=3).product())
+            mats.append(
+                PolyMatrix(ring, [[rand_poly(ring, rng, deg=3, terms=2) for _ in range(2)] for _ in range(2)])
+            )
+        outcomes = [outcome(gl2_univariate_decompose, m) for m in mats]
+        assert outcomes == [outcome(oracle_univariate_decompose, m) for m in mats]
+        assert NotInvertibleError in outcomes and any(isinstance(t, Transcript) for t in outcomes)
+
+
+def test_three_by_three_reduction_adds_nothing_to_a_stuck_pair():
+    # diag(m, 1) has a zero third row in the first column, so its reduction
+    # repeats ge2_decide's first-column steps and gets stuck with it.
+    rng = random.Random(157)
+    order = MonomialOrder.deglex(2)
+    wild = 0
+    for field in (QQ, PrimeField(7)):
+        for m in pair_matrices(field, rng):
+            res = outcome(ge2_decide, m, order)
+            if isinstance(res, Wild):
+                wild += 1
+                assert _eliminate(m.embed(3), order) is None
+                assert oracle_bounded_eliminate(m.embed(3), order) is None
+    assert wild >= 20

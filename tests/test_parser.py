@@ -36,7 +36,7 @@ from freeaut import (
     parse_transcript,
     stable_tame,
 )
-from freeaut.parser import MAX_EXPONENT, MAX_TERMS
+from freeaut.parser import MAX_COEFF_BITS, MAX_EXPONENT, MAX_TERMS
 from support import rand_nc, rand_poly, rand_scalar, rand_transcript, rand_word
 
 DATA = Path(__file__).parent / "data"
@@ -402,3 +402,45 @@ def test_exponent_limit():
     assert exc.value.col == 4
     assert nc(f"z^{MAX_EXPONENT}") == ALG.word((2,) * MAX_EXPONENT)
     assert MAX_EXPONENT == 10_000 and MAX_TERMS == 100_000
+
+
+def test_nested_powers_rejected_before_expanding(monkeypatch):
+    # One-term bases stay one term, so only degree and coefficient size
+    # bound them: (z^10000)^3 would be a 30 000-letter word.
+    longest = [0]
+    init = NCPoly.__init__
+
+    def recording_init(self, algebra, terms):
+        longest[0] = max([longest[0], *map(len, terms)])
+        init(self, algebra, terms)
+
+    monkeypatch.setattr(NCPoly, "__init__", recording_init)
+    with pytest.raises(ParseError) as exc:
+        nc("(z^10000)^3")
+    assert "degree 30000" in str(exc.value) and "exceeds the limit" in str(exc.value)
+    assert (exc.value.line, exc.value.col) == (1, 11)
+    assert longest[0] == MAX_EXPONENT
+    with pytest.raises(ParseError) as exc:
+        nc("x + ((2)^100)^100")
+    assert "exceeds the limit" in str(exc.value) and exc.value.col == 15
+    with pytest.raises(ParseError):
+        nc("(x z^5000)^2")
+    assert nc("(z^100)^100") == ALG.word((2,) * 10_000)
+
+
+def test_nested_powers_rejected_on_the_commutative_side():
+    with pytest.raises(ParseError) as exc:
+        parse_comm_poly("(z1^10000)^5", PAIR)
+    assert "degree 50000" in str(exc.value) and exc.value.col == 12
+    with pytest.raises(ParseError) as exc:
+        parse_comm_poly("((2)^100)^100", PAIR)
+    assert "exceeds the limit" in str(exc.value) and exc.value.col == 11
+    with pytest.raises(ParseError):
+        parse_comm_poly("(1/3 z)^10000", ZR)
+    assert parse_comm_poly("z^10000", ZR) == ZR.gen(0) ** 10_000
+    assert parse_comm_poly("(2)^100", ZR) == ZR.constant(2**100)
+    assert nc("(2)^100") == ALG.constant(2**100)
+    # Prime-field coefficients never grow, so only the degree is bounded.
+    f7 = PolyRing(PrimeField(7), ("z",))
+    assert parse_comm_poly("(3 z)^5000", f7) == f7.term(PrimeField(7)(3) ** 5000, (5000,))
+    assert MAX_COEFF_BITS == 10_000
