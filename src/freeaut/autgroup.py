@@ -25,13 +25,12 @@ from .matgroup import (
     Swap,
     Tame,
     Transcript,
+    Wild,
     _eliminate,
-    _is_unit,
     _unit_inverse,
     cohn_matrix,
     ge2_decide,
     gl2_univariate_decompose,
-    is_gl,
     stabilize3,
 )
 from .scalars import QQ
@@ -186,13 +185,31 @@ class TameVerdict:
         return cls("tame_by_theorem")
 
 
-def is_automorphism_linear(endo: KzEndo) -> bool:
-    """Whether an x-linear endomorphism is invertible.
-
-    Invertibility is equivalent to the two-variable Jacobian lying in the
-    general linear group, i.e. to a nonzero constant determinant.
+def _decide(endo: KzEndo, order: MonomialOrder | None = None):
+    """The one reduction of endo's Jacobian (ge2_decide for two generators,
+    else _eliminate), memoized as endo._decided = (order, outcome): a tame
+    Transcript, a Wild witness, None (stuck with three or more generators:
+    tame_by_theorem) or the NotInvertibleError raised.  order None accepts a
+    stored outcome of any order; another order than the stored one decides
+    again (default deglex) and replaces it.
     """
-    return is_gl(jacobian_linear(endo))
+    if endo._decided is None or order not in (None, endo._decided[0]):
+        order = order or MonomialOrder.deglex(2)
+        jac = jacobian_linear(endo)
+        try:
+            res = ge2_decide(jac, order) if endo.n == 2 else _eliminate(jac, order)
+            outcome = res.transcript if isinstance(res, Tame) else res
+        except NotInvertibleError as exc:
+            outcome = exc.with_traceback(None)
+        endo._decided = (order, outcome)
+    return endo._decided[1]
+
+
+def is_automorphism_linear(endo: KzEndo) -> bool:
+    """Whether an x-linear endomorphism is invertible, as the end state of
+    the memoized reduction of its Jacobian (_decide) under any order shows.
+    """
+    return not isinstance(_decide(endo), NotInvertibleError)
 
 
 def is_tame(endo: KzEndo, order: MonomialOrder | None = None) -> TameVerdict:
@@ -204,33 +221,34 @@ def is_tame(endo: KzEndo, order: MonomialOrder | None = None) -> TameVerdict:
     wild.  With three or more the answer is always tame (Suslin); a stuck
     reduction is reported as tame_by_theorem, without explicit factors.
     Raises NotInvertibleError when the endomorphism is not an automorphism.
+    The reduction is memoized on endo (_decide), per order (default deglex).
     """
-    jac = jacobian_linear(endo)
-    if order is None:
-        order = MonomialOrder.deglex(2)
-    if endo.n == 2:
-        res = ge2_decide(jac, order)
-        if isinstance(res, Tame):
-            return TameVerdict.tame(res.transcript)
-        return TameVerdict.wild(res.witness)
-    t = _eliminate(jac, order)
-    if t is None:
-        return TameVerdict.by_theorem()
-    return TameVerdict.tame(t)
+    outcome = _decide(endo, order or MonomialOrder.deglex(2))
+    if isinstance(outcome, NotInvertibleError):
+        raise NotInvertibleError(*outcome.args)
+    if isinstance(outcome, Transcript):
+        return TameVerdict.tame(outcome)
+    if isinstance(outcome, Wild):
+        return TameVerdict.wild(outcome.witness)
+    return TameVerdict.by_theorem()
 
 
 def invert_linear(endo: KzEndo) -> KzEndo:
-    """The inverse of an x-linear automorphism, via the adjugate Jacobian.
+    """The inverse of an x-linear automorphism, from the memoized reduction
+    of its Jacobian J (_decide) under any order.
 
-    The Jacobian's inverse is adj(J) / det(J); both come from Laplace
-    expansion over row subsets (PolyMatrix.det, PolyMatrix.adjugate), about
-    4n * 2^(n-1) polynomial products in all, exact and division-free.
+    A tame transcript is inverted and replayed as column operations, with no
+    determinant.  A stuck reduction (wild or tame_by_theorem) proved det(J)
+    a unit, and J^-1 = adj(J) / det(J) by Laplace expansion over row subsets
+    (PolyMatrix.det, PolyMatrix.adjugate), about 4n * 2^(n-1) products.
     """
+    outcome = _decide(endo)
+    if isinstance(outcome, NotInvertibleError):
+        raise NotInvertibleError(*outcome.args)
+    if isinstance(outcome, Transcript):
+        return matrix_to_endo(outcome.inverse().product(), endo.algebra)
     jac = jacobian_linear(endo)
-    d = jac.det()
-    if not _is_unit(d):
-        raise NotInvertibleError("endomorphism is not an automorphism")
-    dinv = _unit_inverse(d.constant_value())
+    dinv = _unit_inverse(jac.det().constant_value())
     adj = jac.adjugate()
     inv = adj.map_entries(adj.ring, lambda p: p.scale(dinv))
     return matrix_to_endo(inv, endo.algebra)
@@ -255,13 +273,12 @@ def stable_tame(
     The extension fixes the added generator; its factor list composes to
     exactly that extension over the enlarged algebra.
     """
-    jac = jacobian_linear(endo)
     if endo.n != 2:
         # A map that is no automorphism at all is reported as such first.
-        if not is_gl(jac):
+        if not is_automorphism_linear(endo):
             raise NotInvertibleError("endomorphism is not an automorphism")
         raise ContextError("stabilization applies to two-generator endomorphisms")
-    t = stabilize3(jac)
+    t = stabilize3(jacobian_linear(endo))
     if t is None:
         return None
     big = endo.extended((_fresh_name(endo.algebra.xnames),)).algebra

@@ -322,6 +322,14 @@ class MonomialOrder:
     def greater(self, a: Monomial, b: Monomial) -> bool:
         return self.key(a) > self.key(b)
 
+    def __eq__(self, other):
+        if not isinstance(other, MonomialOrder):
+            return NotImplemented
+        return (self.kind, self.priority) == (other.kind, other.priority)
+
+    def __hash__(self):
+        return hash((self.kind, self.priority))
+
     def __repr__(self):
         return f"MonomialOrder({self.kind!r}, {self.priority})"
 

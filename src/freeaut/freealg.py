@@ -288,7 +288,7 @@ def x_split(f: NCPoly) -> XDegreeSplit:
 class KzEndo:
     """An endomorphism of the free algebra fixing z, as a tuple of images."""
 
-    __slots__ = ("algebra", "images")
+    __slots__ = ("algebra", "images", "_decided")
 
     def __init__(self, algebra: FreeAlgebra, images: Sequence[NCPoly]):
         images = tuple(images)
@@ -301,6 +301,10 @@ class KzEndo:
                 raise ContextError("image lies in a different free algebra")
         self.algebra = algebra
         self.images = images
+        # (order, outcome) of autgroup._decide: the one Jacobian reduction
+        # that its invertibility, tameness and inverse views share.  Bound to
+        # this instance, so equal maps built apart never share a decision.
+        self._decided = None
 
     @classmethod
     def identity(cls, algebra: FreeAlgebra) -> "KzEndo":

@@ -1,5 +1,7 @@
+import itertools
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +15,7 @@ from freeaut import (
     KzEndo,
     MonomialOrder,
     NotInvertibleError,
+    NotXLinearError,
     PolyMatrix,
     PolyRing,
     PrimeField,
@@ -29,13 +32,18 @@ from freeaut import (
     is_automorphism_linear,
     is_tame,
     jacobian_linear,
+    matgroup,
     matrix_to_endo,
+    parse_endo_file,
     parse_nc_poly,
     stable_tame,
     transcript_to_autofactors,
     verify_transcript,
 )
+from freeaut.matgroup import _unit_inverse
 from support import rand_automorphism, rand_linear_endo, rand_transcript
+
+DATA = Path(__file__).parent / "data"
 
 PAIR = PolyRing(QQ, ("z1", "z2"))
 Z1, Z2 = PAIR.gens()
@@ -233,6 +241,12 @@ def test_stable_tame_requires_two_generators():
     alg3 = FreeAlgebra(QQ, ("x", "y", "t"))
     with pytest.raises(ContextError):
         stable_tame(KzEndo.identity(alg3))
+    # Not x-linear is reported first, then not invertible, then the arity.
+    x, y, t = alg3.gens()
+    with pytest.raises(NotXLinearError):
+        stable_tame(KzEndo(alg3, (x * x, y, t)))
+    with pytest.raises(NotInvertibleError):
+        stable_tame(_data_endo("singular3.endo"))
 
 
 def test_abelianized_decomposition_anick():
@@ -352,3 +366,175 @@ def test_linear_part_tameness_is_the_right_question():
         composed = tri.compose(tame_lin)
         assert composed.linear_part() == lin.compose(tame_lin)
         assert is_automorphism_linear(composed.linear_part())
+
+
+def _data_endo(name):
+    return parse_endo_file((DATA / name).read_text())
+
+
+def _fresh(endo):
+    """An equal map with no decision stored on it."""
+    return KzEndo(endo.algebra, endo.images)
+
+
+def oracle_invert_linear(endo):
+    """The adjugate inversion every input took before the memoized decision:
+    adj(J) / det(J) after an up-front determinant test."""
+    jac = jacobian_linear(endo)
+    d = jac.det()
+    if not d.is_constant() or d.is_zero():
+        raise NotInvertibleError("endomorphism is not an automorphism")
+    dinv = _unit_inverse(d.constant_value())
+    adj = jac.adjugate()
+    return matrix_to_endo(adj.map_entries(adj.ring, lambda p: p.scale(dinv)), endo.algebra)
+
+
+def _gens(field, n):
+    return FreeAlgebra(field, tuple(f"x{k}" for k in range(1, n + 1)))
+
+
+def _stuck_inputs(field, rng):
+    """Wild n = 2 and tame_by_theorem n >= 3 candidates: the Cohn matrix,
+    alone and between random transcripts, embedded into sizes 2..4."""
+    ring = PolyRing(field, ("z1", "z2"))
+    cohn = cohn_matrix(field)
+    out = [builtin("anick_variant", field), builtin("cohn_endo", field)]
+    for n in (2, 3, 4):
+        out.append(matrix_to_endo(cohn.embed(n)))
+        for _ in range(3):
+            left = rand_transcript(ring, rng, n=n, max_factors=3, deg=1).product()
+            right = rand_transcript(ring, rng, n=n, max_factors=3, deg=1).product()
+            out.append(matrix_to_endo(left * cohn.embed(n) * right))
+    return out
+
+
+def _singular_inputs(field, rng):
+    """A stuck, a non-constant-pivot and a zero-column singular matrix in
+    sizes 2..4, plus random linear maps, which are rarely invertible."""
+    ring = PolyRing(field, ("z1", "z2"))
+    z1, z2 = ring.gens()
+    stuck = PolyMatrix(ring, [[z1 + z2, z1 + z2], [z1 + z2, z1 + z2]])
+    pivot = PolyMatrix(ring, [[z1, 0], [0, 1]])
+    out = [matrix_to_endo(m.embed(n)) for m in (stuck, pivot) for n in (2, 3, 4)]
+    out.append(matrix_to_endo(PolyMatrix(ring, [[0, 0, 1], [0, 1, 0], [0, 0, 1]])))
+    for n in (2, 3, 4):
+        out += [rand_linear_endo(_gens(field, n), rng) for _ in range(3)]
+    return [e for e in out if not _oracle_invertible(e)]
+
+
+def _oracle_invertible(endo):
+    try:
+        oracle_invert_linear(endo)
+    except NotInvertibleError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["QQ", "F7"])
+def test_invert_linear_matches_adjugate_oracle(field):
+    rng = random.Random(173)
+    one = _gens(field, 1)
+    tame = [KzEndo(one, (one.gen(0).scale(field(c)),)) for c in (2, -3)]
+    tame += [
+        rand_automorphism(_gens(field, n), rng, max_factors=5)
+        for n in range(2, 7)
+        for _ in range(4)
+    ]
+    stuck = _stuck_inputs(field, rng)
+    assert {"wild", "tame_by_theorem"} <= {is_tame(_fresh(e)).kind for e in stuck}
+    other_order = MonomialOrder.lex(2, priority=(1, 0))
+    for endo in tame + stuck:
+        expected = oracle_invert_linear(endo)
+        assert invert_linear(_fresh(endo)) == expected
+        decided = _fresh(endo)
+        is_tame(decided, other_order)
+        assert invert_linear(decided) == expected
+    singular = _singular_inputs(field, rng)
+    assert len(singular) >= 10
+    for endo in singular:
+        for views in itertools.permutations((is_automorphism_linear, is_tame, invert_linear)):
+            e = _fresh(endo)
+            for view in views:
+                if view is is_automorphism_linear:
+                    assert not view(e)
+                else:
+                    with pytest.raises(NotInvertibleError):
+                        view(e)
+
+
+@pytest.fixture
+def reductions(monkeypatch):
+    """Counts matgroup._reduce calls, and fails on any determinant or
+    adjugate while forbid_det is set."""
+    state = {"reduce": 0, "forbid_det": False}
+    reduce = matgroup._reduce
+
+    def counting(*args):
+        state["reduce"] += 1
+        return reduce(*args)
+
+    def guarded(method):
+        def call(self):
+            assert not state["forbid_det"], f"{method.__name__} on a tame input"
+            return method(self)
+
+        return call
+
+    monkeypatch.setattr(matgroup, "_reduce", counting)
+    monkeypatch.setattr(PolyMatrix, "det", guarded(PolyMatrix.det))
+    monkeypatch.setattr(PolyMatrix, "adjugate", guarded(PolyMatrix.adjugate))
+    return state
+
+
+ONE_REDUCTION_CASES = [
+    ("elem(1,2,z^2,z)", "tame"),
+    ("anick_variant", "wild"),
+    ("not_auto.endo", None),
+    ("stuck_singular.endo", None),
+    ("elem(1,3,z,1+z)", "tame"),
+    ("stuck3", "tame_by_theorem"),
+    ("singular3.endo", None),
+]
+
+
+def _case_endo(name):
+    if name.endswith(".endo"):
+        return _data_endo(name)
+    if name == "stuck3":
+        return matrix_to_endo(cohn_matrix().embed(3))
+    return builtin(name)
+
+
+@pytest.mark.parametrize("name,kind", ONE_REDUCTION_CASES, ids=[c[0] for c in ONE_REDUCTION_CASES])
+def test_three_views_share_one_reduction(reductions, name, kind):
+    endo = _case_endo(name)
+    reductions["forbid_det"] = kind == "tame"
+    assert is_automorphism_linear(endo) == (kind is not None)
+    if kind is None:
+        with pytest.raises(NotInvertibleError):
+            is_tame(endo)
+        with pytest.raises(NotInvertibleError):
+            invert_linear(endo)
+    else:
+        assert is_tame(endo).kind == kind
+        inv = invert_linear(endo)
+        reductions["forbid_det"] = False
+        assert endo.compose(inv) == KzEndo.identity(endo.algebra)
+    assert reductions["reduce"] == 1
+
+
+def test_decision_is_per_instance_and_per_order(reductions):
+    text = (DATA / "elem12.endo").read_text()
+    first, second = parse_endo_file(text), parse_endo_file(text)
+    assert first == second
+    is_tame(first)
+    is_tame(second)
+    assert reductions["reduce"] == 2
+    # The default order is deglex; asking for it again by value reuses it.
+    is_tame(first, MonomialOrder.deglex(2))
+    assert reductions["reduce"] == 2
+    is_tame(first, MonomialOrder.lex(2))
+    assert reductions["reduce"] == 3
+    invert_linear(first)
+    is_automorphism_linear(first)
+    assert reductions["reduce"] == 3

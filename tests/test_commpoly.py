@@ -75,6 +75,18 @@ def test_leading_term_lex_and_priority():
     assert q.leading_term(MonomialOrder.deglex(2))[1] == (2, 1)
 
 
+def test_order_value_equality():
+    assert MonomialOrder.deglex(2) == MonomialOrder.deglex(2)
+    assert hash(MonomialOrder.deglex(2)) == hash(MonomialOrder("deglex", (0, 1)))
+    assert MonomialOrder.lex(2) == MonomialOrder.lex(2, priority=(0, 1))
+    assert MonomialOrder.lex(2) != MonomialOrder.deglex(2)
+    assert MonomialOrder.deglex(2) != MonomialOrder.deglex(2, priority=(1, 0))
+    assert MonomialOrder.lex(2) != MonomialOrder.lex(2, priority=(1, 0))
+    assert MonomialOrder.deglex(2) != MonomialOrder.deglex(3)
+    assert MonomialOrder.deglex(2) != "deglex"
+    assert len({MonomialOrder.deglex(2), MonomialOrder.deglex(2), MonomialOrder.lex(2)}) == 2
+
+
 def test_order_is_total_multiplicative_wellfounded():
     rng = random.Random(13)
     for order in (MonomialOrder.deglex(2), MonomialOrder.lex(2)):
